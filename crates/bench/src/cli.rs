@@ -126,26 +126,41 @@ impl Default for Args {
     }
 }
 
+/// One-line flag summary, printed after the program name under every
+/// command-line error.
+const USAGE: &str = "[--arch x86|arm|riscv|all[,...]] [--scale paper|half|quarter|smoke] \
+[--impls N] [--test N] [--rounds N] [--parallel N] [--seed N] [--strategy NAME|all] \
+[--fidelity topk|predicted|SPEC] [--engine interp|decoded|threaded|batch] [--refresh] [--json] \
+[--out DIR] [--load-cache PATH] [--save-cache PATH]";
+
 impl Args {
     /// Parses `std::env::args()`-style flags:
     /// `--arch x86 --scale quarter --impls 120 --test 30 --rounds 10
     ///  --parallel 8 --seed 42 --strategy evolutionary --refresh
     ///  --json --out results/ --load-cache snap.json --save-cache snap.json`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on unknown flags or bad values (these
-    /// binaries are developer tools; failing loudly is the feature).
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Args {
+    /// Returns a one-line message on unknown flags, missing or bad
+    /// values, `--help`, or `--test` not below `--impls`.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        fn need(it: &mut dyn Iterator<Item = String>, flag: &str) -> Result<String, String> {
+            it.next().ok_or_else(|| format!("{flag} needs a value"))
+        }
+        fn number<T: std::str::FromStr>(
+            it: &mut dyn Iterator<Item = String>,
+            flag: &str,
+        ) -> Result<T, String> {
+            let v = need(it, flag)?;
+            v.parse()
+                .map_err(|_| format!("{flag} needs a number, got {v:?}"))
+        }
         let mut out = Args::default();
         let mut it = args.into_iter();
-        let need = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-            it.next().unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
         while let Some(flag) = it.next() {
             match flag.as_str() {
                 "--arch" => {
-                    let v = need(&mut it, "--arch");
+                    let v = need(&mut it, "--arch")?;
                     out.archs = if v == "all" {
                         Args::default().archs
                     } else {
@@ -153,61 +168,66 @@ impl Args {
                     };
                 }
                 "--scale" => {
-                    let v = need(&mut it, "--scale");
+                    let v = need(&mut it, "--scale")?;
                     out.scale = Scale::parse(&v)
-                        .unwrap_or_else(|| panic!("unknown scale {v} (paper|half|quarter|smoke)"));
+                        .ok_or_else(|| format!("unknown scale {v} (paper|half|quarter|smoke)"))?;
                 }
-                "--impls" => out.impls = need(&mut it, "--impls").parse().expect("--impls number"),
-                "--test" => {
-                    out.test_count = need(&mut it, "--test").parse().expect("--test number")
-                }
-                "--rounds" => {
-                    out.rounds = need(&mut it, "--rounds").parse().expect("--rounds number")
-                }
-                "--parallel" => {
-                    out.n_parallel = need(&mut it, "--parallel")
-                        .parse()
-                        .expect("--parallel number")
-                }
-                "--seed" => out.seed = need(&mut it, "--seed").parse().expect("--seed number"),
+                "--impls" => out.impls = number(&mut it, "--impls")?,
+                "--test" => out.test_count = number(&mut it, "--test")?,
+                "--rounds" => out.rounds = number(&mut it, "--rounds")?,
+                "--parallel" => out.n_parallel = number(&mut it, "--parallel")?,
+                "--seed" => out.seed = number(&mut it, "--seed")?,
                 "--strategy" => {
-                    let v = need(&mut it, "--strategy");
+                    let v = need(&mut it, "--strategy")?;
                     out.strategy = if v == "all" {
                         None
                     } else {
-                        Some(v.parse().unwrap_or_else(|e| panic!("{e}")))
+                        Some(v.parse().map_err(|e| format!("{e}"))?)
                     };
                 }
                 "--refresh" => out.refresh = true,
                 "--json" => out.json = true,
-                "--out" => out.out_dir = Some(need(&mut it, "--out")),
-                "--load-cache" => out.load_cache = Some(need(&mut it, "--load-cache")),
-                "--save-cache" => out.save_cache = Some(need(&mut it, "--save-cache")),
+                "--out" => out.out_dir = Some(need(&mut it, "--out")?),
+                "--load-cache" => out.load_cache = Some(need(&mut it, "--load-cache")?),
+                "--save-cache" => out.save_cache = Some(need(&mut it, "--save-cache")?),
                 "--fidelity" => {
-                    let v = need(&mut it, "--fidelity");
-                    out.fidelity = FidelityMode::parse(&v).unwrap_or_else(|| {
-                        panic!(
+                    let v = need(&mut it, "--fidelity")?;
+                    out.fidelity = FidelityMode::parse(&v).ok_or_else(|| {
+                        format!(
                             "unknown fidelity {v} (topk | predicted | accurate | fast-count | \
                              sampled[:fraction=F] | pipelined[:btb=N,ras=N])"
                         )
-                    });
+                    })?;
                 }
                 "--engine" => {
-                    let v = need(&mut it, "--engine");
-                    out.engine = EngineKind::parse(&v).unwrap_or_else(|| {
-                        panic!("unknown engine {v} (interp|decoded|threaded|batch)")
-                    });
+                    let v = need(&mut it, "--engine")?;
+                    out.engine = EngineKind::parse(&v).ok_or_else(|| {
+                        format!("unknown engine {v} (interp|decoded|threaded|batch)")
+                    })?;
                 }
-                other => panic!("unknown flag {other}"),
+                "--help" | "-h" => return Err("help requested".into()),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        assert!(out.test_count < out.impls, "--test must be below --impls");
-        out
+        if out.test_count >= out.impls {
+            return Err("--test must be below --impls".into());
+        }
+        Ok(out)
     }
 
-    /// Parses the process's real arguments (skipping `argv[0]`).
+    /// Parses the process's real arguments (skipping `argv[0]`). On a
+    /// parse error, prints it and a usage line to stderr and exits
+    /// with status 2.
     pub fn from_env() -> Args {
-        Args::parse(std::env::args().skip(1))
+        let mut argv = std::env::args();
+        let program = argv.next().unwrap_or_default();
+        Args::parse(argv).unwrap_or_else(|e| {
+            let name = std::path::Path::new(&program)
+                .file_name()
+                .unwrap_or_default();
+            eprintln!("{e}\nusage: {} {USAGE}", name.to_string_lossy());
+            std::process::exit(2)
+        })
     }
 }
 
@@ -215,8 +235,16 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Args {
+    fn try_parse(s: &str) -> Result<Args, String> {
         Args::parse(s.split_whitespace().map(|x| x.to_string()))
+    }
+
+    fn parse(s: &str) -> Args {
+        try_parse(s).unwrap()
+    }
+
+    fn parse_err(s: &str) -> String {
+        try_parse(s).unwrap_err()
     }
 
     #[test]
@@ -280,9 +308,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown fidelity")]
-    fn bad_fidelity_panics() {
-        parse("--fidelity exact");
+    fn bad_fidelity_is_rejected() {
+        assert!(parse_err("--fidelity exact").contains("unknown fidelity"));
     }
 
     #[test]
@@ -295,9 +322,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown engine")]
-    fn bad_engine_panics() {
-        parse("--engine jit");
+    fn bad_engine_is_rejected() {
+        assert!(parse_err("--engine jit").contains("unknown engine"));
     }
 
     #[test]
@@ -328,20 +354,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown strategy")]
-    fn bad_strategy_panics() {
-        parse("--strategy bogus");
+    fn bad_strategy_is_rejected() {
+        assert!(parse_err("--strategy bogus").contains("unknown strategy"));
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag")]
-    fn unknown_flag_panics() {
-        parse("--bogus");
+    fn unknown_flag_is_rejected() {
+        assert!(parse_err("--bogus").contains("unknown flag"));
+        assert!(parse_err("--help").contains("help"));
+        assert!(parse_err("--impls ten").contains("--impls needs a number"));
+        assert!(parse_err("--seed").contains("--seed needs a value"));
     }
 
     #[test]
-    #[should_panic(expected = "--test must be below")]
     fn test_count_validated() {
-        parse("--impls 10 --test 10");
+        assert!(parse_err("--impls 10 --test 10").contains("--test must be below"));
     }
 }

@@ -17,6 +17,11 @@
 //! | `ping` | — | liveness check |
 //! | `open` | `tenant`, `arch`, `workload`, `dim`, `impls`, `seed`, `fidelity` | open a named tenant, collect a training set and fit its score predictor |
 //! | `tune` | `tenant`, `n_trials`, `batch_size`, `seed`, `strategy`, `fidelity`, `escalation_budget`, `escalation_confidence` | run one predictor-guided tuning loop on the tenant's session |
+//! | `stats` | `tenant` (optional) | per-tenant counters, or service-wide cache totals |
+//! | `save_cache` | `path` | persist the shared cache snapshot (atomic) |
+//! | `load_cache` | `path` | warm the shared cache (degrades to cold on corrupt files) |
+//! | `close` | `tenant` | release a tenant name |
+//! | `shutdown` | — | acknowledge, then end the serve loop |
 //!
 //! # Fidelity selection
 //!
@@ -29,23 +34,16 @@
 //!
 //! # Escalation-policy block
 //!
-//! A `tune` request that sets `escalation_budget` and/or
-//! `escalation_confidence` runs under the learned fidelity tier instead
-//! of all-accurate simulation: candidates are explored on a
-//! `PredictedBackend` and only uncertainty-selected ones escalate to the
-//! accurate simulator (`EscalationPolicy::Uncertainty`; the winner is
-//! always re-verified accurately). The response then echoes the run's
-//! `PredictorStats` through `escalations`, `avoided_simulations` and
-//! `mean_abs_rank_error`; all three are `null` for plain tunes.
-//! Selecting an escalated tune through these per-field knobs alone
-//! (without the unified `fidelity` spec) is the deprecated pre-spec
-//! form; it still parses, and the `ok: true` response carries a
-//! deprecation note in `message`.
-//! | `stats` | `tenant` (optional) | per-tenant counters, or service-wide cache totals |
-//! | `save_cache` | `path` | persist the shared cache snapshot (atomic) |
-//! | `load_cache` | `path` | warm the shared cache (degrades to cold on corrupt files) |
-//! | `close` | `tenant` | release a tenant name |
-//! | `shutdown` | — | acknowledge, then end the serve loop |
+//! A `tune` request that names a `fidelity` tier and also sets
+//! `escalation_budget` and/or `escalation_confidence` runs under the
+//! learned fidelity tier: candidates are explored on a
+//! `PredictedBackend` over that tier and only uncertainty-selected ones
+//! escalate to the accurate simulator (`EscalationPolicy::Uncertainty`;
+//! the winner is always re-verified accurately). The response then
+//! echoes the run's `PredictorStats` through `escalations`,
+//! `avoided_simulations` and `mean_abs_rank_error`; all three are
+//! `null` for plain tunes. Escalation knobs without a `fidelity` spec
+//! are a handler error that names the missing field.
 //!
 //! Handler errors (unknown tenant, bad strategy, …) come back as
 //! `ok: false` with `error` set; the loop keeps serving. Only transport
@@ -105,8 +103,8 @@ pub struct Request {
     pub fidelity: Option<String>,
     /// Escalation-policy block, part 1: cap on accurate simulations the
     /// uncertainty sweep may spend (`tune`; winner verification is
-    /// exempt). Setting this (or `escalation_confidence`) switches the
-    /// tune to the learned fidelity tier.
+    /// exempt). Setting this (or `escalation_confidence`) alongside
+    /// `fidelity` switches the tune to the learned fidelity tier.
     pub escalation_budget: Option<u64>,
     /// Escalation-policy block, part 2: confidence-band width in
     /// posterior standard deviations — a candidate escalates when
@@ -398,21 +396,22 @@ impl Server {
             ..TuneOptions::default()
         };
         // The unified `fidelity` spec names the exploration tier of an
-        // escalated tune; the per-field escalation knobs switch on the
-        // learned (uncertainty) tier and are the deprecated pre-spec
-        // way to request escalation on their own. A plain request keeps
-        // the all-accurate loop.
+        // escalated tune; the escalation knobs on top of it switch on
+        // the learned (uncertainty) tier. A plain request keeps the
+        // all-accurate loop.
         let explore = match parse_fidelity(req) {
             Ok(f) => f,
             Err(resp) => return *resp,
         };
         let uncertainty = req.escalation_budget.is_some() || req.escalation_confidence.is_some();
-        let deprecation = (uncertainty && explore.is_none()).then(|| {
-            "note: selecting escalation through per-field knobs alone is deprecated; \
-             prefer the unified `fidelity` spec string"
-                .to_string()
-        });
-        let result = if uncertainty || explore.is_some() {
+        if uncertainty && explore.is_none() {
+            return Response::fail(
+                req,
+                "escalation_budget/escalation_confidence need an exploration tier in the \
+                 `fidelity` field (e.g. \"fidelity\": \"fast-count\")",
+            );
+        }
+        let result = if explore.is_some() {
             let esc = EscalationOptions {
                 explore,
                 policy: if uncertainty {
@@ -445,7 +444,6 @@ impl Server {
                     escalations: ps.map(|p| p.escalations),
                     avoided_simulations: ps.map(|p| p.avoided_simulations),
                     mean_abs_rank_error: ps.map(|p| p.mean_abs_rank_error),
-                    message: deprecation,
                     ..Response::to_req(req)
                 }
             }
@@ -682,6 +680,7 @@ mod tests {
             batch_size: Some(4),
             seed: Some(1),
             strategy: Some("random".into()),
+            fidelity: Some("fast-count".into()),
             escalation_budget: Some(8),
             escalation_confidence: Some(1.0),
             ..req("tune")
@@ -697,6 +696,7 @@ mod tests {
         assert!((0.0..=1.0).contains(&rank_err), "rank error {rank_err}");
         // Plain tunes keep the predictor fields null...
         let plain = Request {
+            fidelity: None,
             escalation_budget: None,
             escalation_confidence: None,
             ..tune.clone()

@@ -1,7 +1,7 @@
 //! End-to-end coverage of the serve protocol's unified `fidelity`
 //! field: opening tenants at a named tier, escalated tunes with a
-//! spec-named exploration tier, the deprecated per-field escalation
-//! form (still accepted, answered with a note), and grammar errors as
+//! spec-named exploration tier, escalation knobs without a spec
+//! (rejected, naming the `fidelity` field), and grammar errors as
 //! handler failures.
 
 use simtune_bench::serve::{roundtrip, Request, Server};
@@ -82,7 +82,7 @@ fn tune_with_fidelity_runs_spec_tier_escalation_without_a_note() {
     assert!(resp.best_score.unwrap().is_finite());
     assert_eq!(resp.trials, Some(8));
     // Spec-named top-k escalation is not the learned tier: no predictor
-    // counters, and no deprecation note — this IS the preferred form.
+    // counters, and nothing to report in `message`.
     assert!(resp.escalations.is_none());
     assert!(resp.message.is_none(), "{:?}", resp.message);
 
@@ -96,7 +96,7 @@ fn tune_with_fidelity_runs_spec_tier_escalation_without_a_note() {
 }
 
 #[test]
-fn per_field_escalation_still_works_but_carries_a_deprecation_note() {
+fn per_field_escalation_without_a_fidelity_spec_is_rejected() {
     let mut server = server();
     assert!(roundtrip(&mut server, &open_req("old", None)).unwrap().ok);
     let tune = Request {
@@ -110,14 +110,12 @@ fn per_field_escalation_still_works_but_carries_a_deprecation_note() {
         ..req("tune")
     };
     let resp = roundtrip(&mut server, &tune).unwrap();
-    assert!(resp.ok, "legacy escalated tune failed: {:?}", resp.error);
-    assert!(resp.escalations.is_some(), "uncertainty tier still runs");
-    let msg = resp.message.expect("ok:true response carries the note");
-    assert!(msg.contains("deprecated"), "{msg}");
-    assert!(msg.contains("fidelity"), "{msg}");
+    assert!(!resp.ok, "knobs without a spec must be refused");
+    assert!(resp.escalations.is_none());
+    let err = resp.error.expect("ok:false response carries the error");
+    assert!(err.contains("`fidelity`"), "{err}");
 
-    // Adding the spec alongside the knobs silences the note: the
-    // request is then fully in the new form.
+    // The spec form with the same knobs runs the uncertainty tier.
     let both = Request {
         fidelity: Some("fast-count".into()),
         ..tune

@@ -335,16 +335,8 @@ pub struct EscalationOptions {
     pub top_k: usize,
     /// Exploration tier, named uniformly as a [`FidelitySpec`] — e.g.
     /// `FidelitySpec::Pipelined { .. }` for cycle-aware exploration.
-    /// When unset, falls back to `sample_fraction` and then to the
-    /// default [`FidelitySpec::FastCount`].
+    /// When unset, exploration runs on [`FidelitySpec::FastCount`].
     pub explore: Option<FidelitySpec>,
-    /// When set (and [`EscalationOptions::explore`] is not), exploration
-    /// uses a [`crate::SampledBackend`] at this fraction instead of the
-    /// default [`crate::FastCountBackend`] — a middle tier for workloads whose ranking
-    /// is cache-sensitive. Prefer `explore:
-    /// Some(FidelitySpec::Sampled { fraction })`, which this field
-    /// predates.
-    pub sample_fraction: Option<f64>,
     /// How candidates graduate to the accurate tier. The default
     /// [`EscalationPolicy::TopK`] keeps the original static-finalist
     /// behavior (and is the only mode that reads `top_k`);
@@ -359,23 +351,15 @@ impl Default for EscalationOptions {
         EscalationOptions {
             top_k: 8,
             explore: None,
-            sample_fraction: None,
             policy: EscalationPolicy::TopK,
         }
     }
 }
 
-/// The exploration tier an [`EscalationOptions`] names: `explore` wins,
-/// the legacy `sample_fraction` shim comes second, and the historical
-/// fast-count default closes the chain.
+/// The exploration tier an [`EscalationOptions`] names, defaulting to
+/// fast-count.
 fn explore_spec(esc: &EscalationOptions) -> FidelitySpec {
-    esc.explore
-        .clone()
-        .or_else(|| {
-            esc.sample_fraction
-                .map(|fraction| FidelitySpec::Sampled { fraction })
-        })
-        .unwrap_or(FidelitySpec::FastCount)
+    esc.explore.clone().unwrap_or(FidelitySpec::FastCount)
 }
 
 /// Which candidates graduate from the cheap exploration tier to the

@@ -1,17 +1,15 @@
-//! Pluggable simulator backends: the typed successor of the
-//! function-registry override (paper Listings 3–4).
+//! Pluggable simulator backends: the typed form of the paper's
+//! simulator interface (Listings 3–4).
 //!
 //! The paper's claim is that the autotuner's runner is
 //! *simulator-agnostic*: anything that can execute a candidate and
 //! report statistics may sit behind `auto_scheduler.local_runner.run`,
-//! trading fidelity for speed. This module turns that claim into a
-//! first-class API built around three pieces:
+//! trading fidelity for speed. The paper plugs simulators in by
+//! overriding that function in TVM's string-keyed registry; here the
+//! same seam is a trait plus a session:
 //!
 //! * [`SimBackend`] — the trait every simulator flavor implements:
-//!   `run_batch(&[Executable], &RunLimits) -> Vec<Result<SimReport, _>>`;
-//! * [`BackendRegistry`] — a typed, named registry replacing the
-//!   stringly [`crate::FunctionRegistry`] (which survives as a thin
-//!   deprecated shim on top of this);
+//!   `run_one(&Executable, &RunLimits) -> Result<SimReport, _>`;
 //! * [`SimSession`] — a builder-style entry point that pairs one
 //!   backend with a parallelism degree, run limits and an optional
 //!   [`SimCache`], re-exported from the `simtune` façade. Sessions
@@ -71,7 +69,6 @@
 use crate::memo::SimCache;
 use crate::metrics::WorkerPoolStats;
 use crate::pool::{Batch, BatchCtx, BatchTicket, InflightMap, WorkerPool};
-use crate::runner::SimulatorRunFn;
 use crate::CoreError;
 use simtune_cache::{CacheConfig, CacheStats, HierarchyConfig, HierarchyStats};
 use simtune_hw::CycleBreakdown;
@@ -81,7 +78,6 @@ use simtune_isa::{
     simulate_prefix_decoded_on, DecodedProgram, EngineKind, Executable, InstMix, RunLimits,
     SimError, SimStats, ACCURATE, FAST_COUNT,
 };
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -202,15 +198,17 @@ impl SimReport {
 }
 
 /// A pluggable simulator: the typed form of the paper's overridable
-/// `simulator_run` hook.
+/// `simulator_run` hook. Implement it and hand the backend to
+/// [`SimSessionBuilder::backend`] to put any external simulator behind
+/// the autotuner.
 ///
-/// Implementations must be shareable across the runner's `n_parallel`
+/// Implementations must be shareable across the session's `n_parallel`
 /// worker threads, hence `Send + Sync`; per-run state (CPU, memory,
 /// cache hierarchy) is created inside [`SimBackend::run_one`] so every
-/// candidate starts cold, exactly like the function-pointer era.
+/// candidate starts cold.
 pub trait SimBackend: Send + Sync {
-    /// Stable name used as the registry key and stamped on every
-    /// [`SimReport`] / [`simtune_isa::SimOutcome`].
+    /// Stable name stamped on every [`SimReport`] /
+    /// [`simtune_isa::SimOutcome`].
     fn name(&self) -> &str;
 
     /// The fidelity tier this backend provides.
@@ -317,19 +315,6 @@ pub trait SimBackend: Send + Sync {
     fn fidelity_digest(&self) -> Option<String> {
         self.memo_key()
             .map(|k| format!("{} {} [{k}]", self.name(), self.fidelity()))
-    }
-
-    /// Runs a batch sequentially, preserving order. Backends with a
-    /// cheaper batch path (shared warm-up, vectorized dispatch) may
-    /// override this for direct callers; [`SimSession`] itself always
-    /// drives [`SimBackend::run_one_decoded`] per candidate so decoding
-    /// and memoization stay per-executable.
-    fn run_batch(
-        &self,
-        execs: &[Executable],
-        limits: &RunLimits,
-    ) -> Vec<Result<SimReport, BackendError>> {
-        execs.iter().map(|e| self.run_one(e, limits)).collect()
     }
 }
 
@@ -708,150 +693,8 @@ pub(crate) fn extrapolate(prefix: &SimStats, total: u64, retired: u64) -> SimSta
     }
 }
 
-/// Adapter exposing a bare run function (the deprecated
-/// [`crate::SimulatorRunFn`] era) as a [`SimBackend`], so legacy
-/// overrides keep working behind the typed API.
-pub struct FnBackend {
-    name: String,
-    func: Arc<SimulatorRunFn>,
-}
-
-impl FnBackend {
-    /// Wraps `func` under `name`.
-    pub fn new(name: impl Into<String>, func: Arc<SimulatorRunFn>) -> Self {
-        FnBackend {
-            name: name.into(),
-            func,
-        }
-    }
-}
-
-impl fmt::Debug for FnBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FnBackend")
-            .field("name", &self.name)
-            .finish()
-    }
-}
-
-impl SimBackend for FnBackend {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Custom
-    }
-
-    fn run_one(&self, exe: &Executable, _limits: &RunLimits) -> Result<SimReport, BackendError> {
-        let stats = (self.func)(exe)?;
-        Ok(SimReport::full(stats, &self.name, Fidelity::Custom))
-    }
-}
-
-/// A typed registry of named simulator backends — the successor of the
-/// stringly [`crate::FunctionRegistry`]. Iteration order (and thus
-/// [`BackendRegistry::names`]) is the names' lexicographic order.
-#[derive(Default, Clone)]
-pub struct BackendRegistry {
-    backends: BTreeMap<String, Arc<dyn SimBackend>>,
-}
-
-impl fmt::Debug for BackendRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BackendRegistry")
-            .field("registered", &self.names())
-            .finish()
-    }
-}
-
-impl BackendRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registry pre-populated with the three bundled fidelity tiers for
-    /// `hierarchy`: [`AccurateBackend`], [`FastCountBackend`] and a
-    /// [`SampledBackend`] at `sample_fraction`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::Config`] (as [`CoreError`]) for an
-    /// invalid `sample_fraction`.
-    pub fn with_defaults(
-        hierarchy: &HierarchyConfig,
-        sample_fraction: f64,
-    ) -> Result<Self, CoreError> {
-        let mut reg = BackendRegistry::new();
-        reg.register(Arc::new(AccurateBackend::new(hierarchy.clone())), false)?;
-        reg.register(Arc::new(FastCountBackend::matching(hierarchy)), false)?;
-        reg.register(
-            Arc::new(SampledBackend::new(hierarchy.clone(), sample_fraction)?),
-            false,
-        )?;
-        Ok(reg)
-    }
-
-    /// Registers `backend` under its own [`SimBackend::name`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Registry`] when the name is taken and
-    /// overriding was not requested.
-    pub fn register(
-        &mut self,
-        backend: Arc<dyn SimBackend>,
-        override_existing: bool,
-    ) -> Result<(), CoreError> {
-        let name = backend.name().to_string();
-        self.register_as(&name, backend, override_existing)
-    }
-
-    /// Registers `backend` under an explicit `name` (aliases, A/B
-    /// experiments).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Registry`] when the name is taken and
-    /// overriding was not requested.
-    pub fn register_as(
-        &mut self,
-        name: &str,
-        backend: Arc<dyn SimBackend>,
-        override_existing: bool,
-    ) -> Result<(), CoreError> {
-        if self.backends.contains_key(name) && !override_existing {
-            return Err(CoreError::Registry { name: name.into() });
-        }
-        self.backends.insert(name.to_string(), backend);
-        Ok(())
-    }
-
-    /// Resolves a backend by name.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn SimBackend>> {
-        self.backends.get(name).cloned()
-    }
-
-    /// Registered names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.backends.keys().map(String::as_str).collect()
-    }
-
-    /// Number of registered backends.
-    pub fn len(&self) -> usize {
-        self.backends.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.backends.is_empty()
-    }
-}
-
 /// One configured simulation context: a backend plus parallelism, run
-/// limits and an optional memo cache — what [`crate::SimulatorRunner`]
-/// is built on and what the autotuning loops drive.
+/// limits and an optional memo cache — what the autotuning loops drive.
 ///
 /// Created through [`SimSession::builder`]. Building a session spawns a
 /// *persistent* pool of `n_parallel` worker threads
@@ -1041,7 +884,7 @@ impl fmt::Debug for SimSessionBuilder {
 impl SimSessionBuilder {
     /// Uses an explicit backend instance. Clears any deferred error from
     /// an earlier failed selection step, so fallback chains like
-    /// `from_registry(...).backend(...)` recover.
+    /// `sampled(..).backend(..)` recover.
     pub fn backend(mut self, backend: Arc<dyn SimBackend>) -> Self {
         self.backend = Some(backend);
         self.error = None;
@@ -1093,18 +936,6 @@ impl SimSessionBuilder {
             Ok(b) => self.backend(Arc::new(b)),
             Err(e) => {
                 self.error = Some(e.into());
-                self
-            }
-        }
-    }
-
-    /// Resolves `name` in `registry`; a miss surfaces from
-    /// [`SimSessionBuilder::build`].
-    pub fn from_registry(mut self, registry: &BackendRegistry, name: &str) -> Self {
-        match registry.get(name) {
-            Some(b) => self.backend(b),
-            None => {
-                self.error = Some(CoreError::Registry { name: name.into() });
                 self
             }
         }
@@ -1182,8 +1013,8 @@ impl SimSessionBuilder {
     /// # Errors
     ///
     /// Returns [`CoreError::Pipeline`] when no backend was chosen, or the
-    /// deferred error of an invalid [`SimSessionBuilder::sampled`] /
-    /// [`SimSessionBuilder::from_registry`] step.
+    /// deferred error of an invalid [`SimSessionBuilder::fidelity`] /
+    /// [`SimSessionBuilder::sampled`] step.
     pub fn build(self) -> Result<SimSession, CoreError> {
         if let Some(e) = self.error {
             return Err(e);
@@ -1296,20 +1127,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_rejects_collisions_with_registry_error() {
-        let mut reg = BackendRegistry::with_defaults(&hier(), 0.5).unwrap();
-        assert_eq!(reg.names(), ["accurate", "fast-count", "sampled"]);
-        let err = reg
-            .register(Arc::new(AccurateBackend::new(hier())), false)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Registry { ref name } if name == "accurate"));
-        // Overriding is allowed when asked for.
-        reg.register(Arc::new(AccurateBackend::new(hier())), true)
-            .unwrap();
-        assert_eq!(reg.len(), 3);
-    }
-
-    #[test]
     fn session_runs_parallel_and_preserves_order() {
         let exes = exes(6);
         let seq = SimSession::builder()
@@ -1341,15 +1158,9 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, CoreError::Backend { .. }));
-        let reg = BackendRegistry::new();
-        let err = SimSession::builder()
-            .from_registry(&reg, "missing")
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Registry { ref name } if name == "missing"));
-        // A later explicit selection recovers from the failed lookup.
+        // A later explicit selection recovers from the failed step.
         let session = SimSession::builder()
-            .from_registry(&reg, "missing")
+            .sampled(&hier(), 2.0)
             .accurate(&hier())
             .build()
             .unwrap();
@@ -1394,6 +1205,40 @@ mod tests {
         }
         fn memo_key(&self) -> Option<String> {
             self.inner.memo_key()
+        }
+    }
+
+    /// An external simulator stand-in: never decodes, counts its calls
+    /// and reports fixed statistics under the default (no-memo) trait
+    /// methods.
+    struct StubBackend {
+        host_nanos: u64,
+        calls: AtomicUsize,
+    }
+
+    impl StubBackend {
+        fn new(host_nanos: u64) -> Self {
+            StubBackend {
+                host_nanos,
+                calls: AtomicUsize::new(0),
+            }
+        }
+    }
+
+    impl SimBackend for StubBackend {
+        fn name(&self) -> &str {
+            "external"
+        }
+        fn fidelity(&self) -> Fidelity {
+            Fidelity::Custom
+        }
+        fn run_one(&self, _: &Executable, _: &RunLimits) -> Result<SimReport, BackendError> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            let stats = SimStats {
+                host_nanos: self.host_nanos,
+                ..SimStats::default()
+            };
+            Ok(SimReport::full(stats, self.name(), Fidelity::Custom))
         }
     }
 
@@ -1466,17 +1311,8 @@ mod tests {
         assert!(exe.decode().is_err(), "sanity: validator rejects it");
 
         // A custom backend driving its own simulator must still run it.
-        let custom = FnBackend::new(
-            "external",
-            Arc::new(|_: &Executable| {
-                Ok(SimStats {
-                    host_nanos: 5,
-                    ..SimStats::default()
-                })
-            }),
-        );
         let session = SimSession::builder()
-            .backend(Arc::new(custom))
+            .backend(Arc::new(StubBackend::new(5)))
             .n_parallel(1)
             .build()
             .unwrap();
@@ -1544,44 +1380,18 @@ mod tests {
     #[test]
     fn custom_backends_are_not_memoized() {
         let exes = exes(1);
-        let calls = Arc::new(AtomicUsize::new(0));
-        let calls_inner = calls.clone();
-        let b = FnBackend::new(
-            "stub",
-            Arc::new(move |_: &Executable| {
-                calls_inner.fetch_add(1, Ordering::Relaxed);
-                Ok(SimStats::default())
-            }),
-        );
+        let stub = Arc::new(StubBackend::new(0));
         let cache = Arc::new(SimCache::new());
         let session = SimSession::builder()
-            .backend(Arc::new(b))
+            .backend(stub.clone())
             .n_parallel(1)
             .memo_cache(cache.clone())
             .build()
             .unwrap();
         session.run(&exes);
         session.run(&exes);
-        assert_eq!(calls.load(Ordering::Relaxed), 2, "no memo for Custom");
+        assert_eq!(stub.calls.load(Ordering::Relaxed), 2, "no memo for Custom");
         assert!(cache.is_empty());
         assert_eq!(cache.stats().lookups(), 0);
-    }
-
-    #[test]
-    fn fn_backend_adapts_legacy_overrides() {
-        let exes = exes(1);
-        let b = FnBackend::new(
-            "stub",
-            Arc::new(|_: &Executable| {
-                Ok(SimStats {
-                    host_nanos: 99,
-                    ..SimStats::default()
-                })
-            }),
-        );
-        let r = b.run_one(&exes[0], &RunLimits::default()).unwrap();
-        assert_eq!(r.stats.host_nanos, 99);
-        assert_eq!(r.backend, "stub");
-        assert_eq!(r.fidelity, Fidelity::Custom);
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! * `n_parallel` simulator instances process a candidate batch
 //!   concurrently (paper Fig. 1-I / Listing 3);
-//! * any simulator can be plugged in behind the runner through the
-//!   typed `SimBackend` registry, mirroring the paper's TVM registry
-//!   override (Listing 4) — including the bundled reduced-fidelity
-//!   tiers (fast-count, sampled).
+//! * any simulator can be plugged in behind the runner by implementing
+//!   the `SimBackend` trait, the typed form of the paper's TVM registry
+//!   override (Listing 4) — the bundled tiers (fast-count, sampled,
+//!   pipelined, accurate) are selected by `FidelitySpec`.
 //!
 //! ```text
 //! cargo run --release --example parallel_simulation
@@ -13,13 +13,43 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simtune::core::KernelBuilder;
+use simtune::cache::HierarchyConfig;
+use simtune::core::{FidelitySpec, KernelBuilder};
 use simtune::hw::TargetSpec;
-use simtune::isa::{simulate, Executable, RunLimits, SimStats};
+use simtune::isa::{simulate, Executable, RunLimits};
 use simtune::tensor::{conv2d_bias_relu, Conv2dShape, SketchGenerator};
-use simtune::{BackendRegistry, FnBackend, SimSession};
+use simtune::{BackendError, Fidelity, SimBackend, SimReport, SimSession};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A custom simulator backend. A real integration could shell out to
+/// gem5/QEMU here; this one wraps the built-in simulator and tags the
+/// result.
+struct Gem5Wrapper {
+    hierarchy: HierarchyConfig,
+}
+
+impl SimBackend for Gem5Wrapper {
+    fn name(&self) -> &str {
+        "gem5-wrapper"
+    }
+
+    fn fidelity(&self) -> Fidelity {
+        Fidelity::Custom
+    }
+
+    fn run_one(&self, exe: &Executable, limits: &RunLimits) -> Result<SimReport, BackendError> {
+        let mut stats = simulate(exe, &self.hierarchy, *limits)?.stats;
+        stats.host_nanos |= 1; // visible marker of the custom path
+        Ok(SimReport {
+            stats,
+            backend: self.name().to_string(),
+            fidelity: Fidelity::Custom,
+            extrapolated: false,
+            cycles: None,
+        })
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = TargetSpec::x86_ryzen_5800x();
@@ -78,10 +108,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Fidelity tiers: the same batch on every bundled backend.
     println!("\nsame batch across the bundled fidelity tiers...");
-    let registry = BackendRegistry::with_defaults(&spec.hierarchy, 0.25)?;
-    for name in registry.names() {
+    for tier in FidelitySpec::all() {
         let session = SimSession::builder()
-            .from_registry(&registry, name)
+            .fidelity(&tier, &spec.hierarchy)
             .n_parallel(8)
             .build()?;
         let t0 = Instant::now();
@@ -89,7 +118,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let dt = t0.elapsed().as_secs_f64();
         let first = reports[0].as_ref().expect("runs");
         println!(
-            "  {name:>10}: {:>9} insts, L1D miss {:>5.2} %, batch in {dt:.2}s",
+            "  {:>10}: {:>9} insts, L1D miss {:>5.2} %, batch in {dt:.2}s",
+            tier.label(),
             first.stats.inst_mix.total(),
             first.stats.cache.l1d.read_miss_ratio() * 100.0,
         );
@@ -98,17 +128,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Custom backend: plug any simulator into the same session (the
     // paper's registry-override integration, typed).
     println!("\nplugging a custom simulator backend into the session...");
-    let hierarchy = spec.hierarchy.clone();
-    let custom = FnBackend::new(
-        "gem5-wrapper",
-        Arc::new(move |exe: &Executable| -> Result<SimStats, _> {
-            // A custom backend could shell out to gem5/QEMU here; we
-            // wrap the built-in simulator and tag the result.
-            let mut stats = simulate(exe, &hierarchy, RunLimits::default())?.stats;
-            stats.host_nanos |= 1; // visible marker of the custom path
-            Ok(stats)
-        }),
-    );
+    let custom = Gem5Wrapper {
+        hierarchy: spec.hierarchy.clone(),
+    };
     let session = SimSession::builder().backend(Arc::new(custom)).build()?;
     let results = session.run(&exes[..4]);
     for (i, r) in results.iter().enumerate() {
