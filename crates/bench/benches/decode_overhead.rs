@@ -1,13 +1,9 @@
-//! Criterion bench: what each rung of the replay ladder buys.
+//! Criterion bench: what the decode phase buys.
 //!
-//! * `interp` vs `decoded` vs `threaded` — per-run cost of the
-//!   re-decoding interpreter, the pre-decoded µop array, and the
-//!   threaded-code form (pre-bound handler pointers with pre-resolved
-//!   successors), on the paper's matmul workload.
-//! * `decode_once` / `lower_once` — the one-time lowering costs being
-//!   amortized.
-//! * `batch4_lanes` — four same-program trials replayed as one SoA
-//!   batch; compare its per-iteration time against 4x `decoded`.
+//! * `interp` vs `decoded` — per-run cost of the re-decoding
+//!   interpreter and the pre-decoded µop array, on the paper's matmul
+//!   workload.
+//! * `decode_once` — the one-time lowering cost being amortized.
 //! * `memo_cold` vs `memo_warm` — a full backend execution on a memo
 //!   miss against answering the same candidate from the [`SimCache`].
 
@@ -15,8 +11,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use simtune_core::{KernelBuilder, SimCache, SimSession};
 use simtune_hw::TargetSpec;
 use simtune_isa::{
-    AtomicCpu, BatchEngine, BatchLane, DecodedEngine, DecodedProgram, ExecEngine, InterpEngine,
-    Memory, NoopHook, RunLimits, ThreadedEngine, ThreadedProgram,
+    AtomicCpu, DecodedEngine, DecodedProgram, ExecEngine, InterpEngine, Memory, NoopHook, RunLimits,
 };
 use simtune_tensor::{matmul, Schedule};
 use std::sync::Arc;
@@ -58,54 +53,9 @@ fn decode_overhead(c: &mut Criterion) {
             )
         });
     });
-    group.bench_function("threaded", |b| {
-        let threaded = ThreadedProgram::lower(&decoded);
-        let engine = ThreadedEngine::new(&threaded);
-        b.iter(|| {
-            let mut cpu = AtomicCpu::new(&exe.target);
-            let mut mem = Memory::new();
-            let mut hier = simtune_cache::CacheHierarchy::new(spec.hierarchy.clone());
-            black_box(
-                engine
-                    .run_with_hook(&mut cpu, &mut mem, &mut hier, limits, &mut NoopHook)
-                    .expect("runs"),
-            )
-        });
-    });
     group.bench_function("decode_once", |b| {
         b.iter(|| black_box(DecodedProgram::decode(&exe.program, &exe.target).expect("decodes")));
     });
-    group.bench_function("lower_once", |b| {
-        b.iter(|| black_box(ThreadedProgram::lower(&decoded)));
-    });
-    // Four same-program lanes in one SoA loop: one iteration does 4
-    // trials' work, so divide the reported time by 4 before comparing
-    // against `decoded`.
-    group.bench_function("batch4_lanes", |b| {
-        let engine = BatchEngine::new(&decoded);
-        b.iter(|| {
-            let mut cpus: Vec<AtomicCpu> = (0..4).map(|_| AtomicCpu::new(&exe.target)).collect();
-            let mut mems: Vec<Memory> = (0..4).map(|_| Memory::new()).collect();
-            let mut hiers: Vec<simtune_cache::CacheHierarchy> = (0..4)
-                .map(|_| simtune_cache::CacheHierarchy::new(spec.hierarchy.clone()))
-                .collect();
-            let mut hooks: Vec<NoopHook> = (0..4).map(|_| NoopHook).collect();
-            let mut lanes: Vec<BatchLane<'_, NoopHook>> = cpus
-                .iter_mut()
-                .zip(mems.iter_mut())
-                .zip(hiers.iter_mut())
-                .zip(hooks.iter_mut())
-                .map(|(((cpu, mem), hier), hook)| BatchLane {
-                    cpu,
-                    mem,
-                    hier,
-                    hook,
-                })
-                .collect();
-            black_box(engine.run_lanes(&mut lanes, limits))
-        });
-    });
-
     // Memo layer: a miss pays one full accurate execution; a warm hit
     // pays a fingerprint + hash-map probe.
     group.bench_function("memo_cold", |b| {

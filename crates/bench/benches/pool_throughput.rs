@@ -14,15 +14,9 @@
 //! Expected shape: at batch sizes >= 8 the pool wins and the gap widens
 //! as per-trial simulation gets cheaper (tiny kernels) because the
 //! fixed spawn/join overhead stops being amortized.
-//!
-//! The `engine_*` functions compare replay engines on the same session
-//! shape: `engine_decoded` replays each trial solo, `engine_threaded`
-//! swaps in threaded-code dispatch, and `engine_batch` groups the
-//! batch's same-program trials into one SoA replay — the >= 20 %
-//! same-program throughput win the raw-speed tentpole claims.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use simtune_core::{EngineKind, FastCountBackend, KernelBuilder, SimBackend, SimSession};
+use simtune_core::{FastCountBackend, KernelBuilder, SimBackend, SimSession};
 use simtune_hw::TargetSpec;
 use simtune_isa::{Executable, RunLimits};
 use simtune_tensor::{matmul, Schedule};
@@ -98,20 +92,6 @@ fn pool_throughput(c: &mut Criterion) {
                 black_box(second.wait());
             });
         });
-        // Replay-engine ladder on the identical batch (all trials share
-        // one program, the SoA grouping's best case and the common case
-        // inside a tuning sweep's duplicate-heavy batches).
-        for engine in [EngineKind::Decoded, EngineKind::Threaded, EngineKind::Batch] {
-            let session = SimSession::builder()
-                .fast_count(&spec.hierarchy)
-                .n_parallel(N_PARALLEL)
-                .engine(engine)
-                .build()
-                .expect("builds session");
-            group.bench_function(format!("engine_{engine}"), |b| {
-                b.iter(|| black_box(session.run(&exes)));
-            });
-        }
         group.finish();
     }
 }

@@ -41,7 +41,21 @@ struct GateArgs {
     min_speedup: f64,
 }
 
-fn parse_args(args: impl IntoIterator<Item = String>) -> GateArgs {
+/// One-line flag summary, printed after the program name under every
+/// command-line error.
+const USAGE: &str = "--current PATH --baseline PATH [--max-regression F] \
+[--warm [--min-hit-rate F] [--min-speedup X]]";
+
+/// Parses a flag value and checks it against the range the flag
+/// documents; `range` names that range in the error message.
+fn bounded(flag: &str, value: &str, range: &str, ok: impl Fn(f64) -> bool) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(v) if ok(v) => Ok(v),
+        _ => Err(format!("{flag} must be {range}, got {value:?}")),
+    }
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<GateArgs, String> {
     let mut current = None;
     let mut baseline = None;
     let mut max_regression = 0.25;
@@ -50,39 +64,39 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> GateArgs {
     let mut min_speedup = 1.05;
     let mut it = args.into_iter();
     while let Some(flag) = it.next() {
-        let mut need = |flag: &str| it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
+        let mut need = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--current" => current = Some(need("--current")),
-            "--baseline" => baseline = Some(need("--baseline")),
+            "--current" => current = Some(need("--current")?),
+            "--baseline" => baseline = Some(need("--baseline")?),
             "--max-regression" => {
-                max_regression = need("--max-regression")
-                    .parse()
-                    .expect("--max-regression fraction in (0, 1)");
+                let v = need("--max-regression")?;
+                max_regression = bounded("--max-regression", &v, "a fraction in (0, 1)", |x| {
+                    x > 0.0 && x < 1.0
+                })?;
             }
             "--warm" => warm = true,
             "--min-hit-rate" => {
-                min_hit_rate = need("--min-hit-rate")
-                    .parse()
-                    .expect("--min-hit-rate fraction in [0, 1]");
+                let v = need("--min-hit-rate")?;
+                min_hit_rate = bounded("--min-hit-rate", &v, "a fraction in [0, 1]", |x| {
+                    (0.0..=1.0).contains(&x)
+                })?;
             }
             "--min-speedup" => {
-                min_speedup = need("--min-speedup")
-                    .parse()
-                    .expect("--min-speedup factor >= 1");
+                let v = need("--min-speedup")?;
+                min_speedup = bounded("--min-speedup", &v, "a factor >= 1", |x| x >= 1.0)?;
             }
-            other => panic!(
-                "unknown flag {other} (expected --current/--baseline/--max-regression/--warm/--min-hit-rate/--min-speedup)"
-            ),
+            "--help" | "-h" => return Err("help requested".into()),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    GateArgs {
-        current: current.expect("--current <BENCH_5.json> is required"),
-        baseline: baseline.expect("--baseline <ci/bench-baseline.json> is required"),
+    Ok(GateArgs {
+        current: current.ok_or("--current <BENCH_5.json> is required")?,
+        baseline: baseline.ok_or("--baseline <ci/bench-baseline.json> is required")?,
         max_regression,
         warm,
         min_hit_rate,
         min_speedup,
-    }
+    })
 }
 
 fn load(path: &str) -> Result<PerfSummary, String> {
@@ -153,7 +167,13 @@ fn run(args: &GateArgs) -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args(std::env::args().skip(1));
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("{e}\nusage: perf_gate {USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     match run(&args) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => {
@@ -178,6 +198,81 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("perf gate error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(s: &str) -> Result<GateArgs, String> {
+        parse_args(s.split_whitespace().map(str::to_string))
+    }
+
+    fn parse_err(s: &str) -> String {
+        parse(s).err().expect("must be rejected")
+    }
+
+    #[test]
+    fn defaults_apply_when_only_paths_are_given() {
+        let a = parse("--current c.json --baseline b.json").unwrap();
+        assert_eq!(
+            (a.current.as_str(), a.baseline.as_str()),
+            ("c.json", "b.json")
+        );
+        assert_eq!(a.max_regression, 0.25);
+        assert!(!a.warm);
+        assert_eq!((a.min_hit_rate, a.min_speedup), (0.99, 1.05));
+        let w = parse("--warm --current c --baseline b --min-hit-rate 1 --min-speedup 1").unwrap();
+        assert!(w.warm);
+        assert_eq!((w.min_hit_rate, w.min_speedup), (1.0, 1.0));
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        assert!(parse_err("--bogus").contains("unknown flag --bogus"));
+        assert!(parse_err("--help").contains("help"));
+    }
+
+    #[test]
+    fn missing_values_are_rejected() {
+        assert!(parse_err("--current").contains("--current needs a value"));
+        assert!(parse_err("--current c --baseline b --max-regression")
+            .contains("--max-regression needs a value"));
+    }
+
+    #[test]
+    fn missing_paths_are_rejected() {
+        assert!(parse_err("--baseline b").contains("--current"));
+        assert!(parse_err("--current c").contains("--baseline"));
+    }
+
+    #[test]
+    fn max_regression_must_lie_in_the_open_unit_interval() {
+        for bad in ["5", "1", "0", "-0.1", "NaN", "lots"] {
+            let err = parse_err(&format!("--current c --baseline b --max-regression {bad}"));
+            assert!(err.contains("(0, 1)"), "{bad}: {err}");
+        }
+        let ok = parse("--current c --baseline b --max-regression 0.5").unwrap();
+        assert_eq!(ok.max_regression, 0.5);
+    }
+
+    #[test]
+    fn min_hit_rate_must_lie_in_the_closed_unit_interval() {
+        for bad in ["1.5", "-0.01", "NaN"] {
+            let err = parse_err(&format!("--current c --baseline b --min-hit-rate {bad}"));
+            assert!(err.contains("[0, 1]"), "{bad}: {err}");
+        }
+        let ok = parse("--current c --baseline b --min-hit-rate 0").unwrap();
+        assert_eq!(ok.min_hit_rate, 0.0);
+    }
+
+    #[test]
+    fn min_speedup_must_be_at_least_one() {
+        for bad in ["0.9", "0", "NaN"] {
+            let err = parse_err(&format!("--current c --baseline b --min-speedup {bad}"));
+            assert!(err.contains(">= 1"), "{bad}: {err}");
         }
     }
 }

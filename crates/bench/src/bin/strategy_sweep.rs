@@ -31,12 +31,12 @@
 //! `avoided_simulations` / `mean_abs_rank_error`) fields of each
 //! [`simtune_bench::StrategyPerf`].
 //!
-//! `--engine interp|decoded|threaded|batch` selects the replay engine
+//! `--engine interp|decoded` selects the replay engine
 //! every simulator session runs on (default `decoded`). Engines are
 //! bit-identical in results — the sweep's scores and history do not
 //! move — but not in speed; the per-strategy `replay_nanos` /
 //! `replay_trials_per_sec` counters (and the sweep-wide total) isolate
-//! pure replay throughput so engine ladders can be compared without
+//! pure replay throughput so engines can be compared without
 //! propose/build/score noise.
 //!
 //! `--save-cache PATH` snapshots the sweep's memo cache afterwards and

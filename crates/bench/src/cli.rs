@@ -97,7 +97,7 @@ pub struct Args {
     /// escalation policies).
     pub fidelity: FidelityMode,
     /// Replay engine for the tuning sweeps
-    /// (`--engine interp|decoded|threaded|batch`) — a pure host-speed
+    /// (`--engine interp|decoded`) — a pure host-speed
     /// knob, bit-identical results by the equivalence contract.
     pub engine: EngineKind,
 }
@@ -130,7 +130,7 @@ impl Default for Args {
 /// command-line error.
 const USAGE: &str = "[--arch x86|arm|riscv|all[,...]] [--scale paper|half|quarter|smoke] \
 [--impls N] [--test N] [--rounds N] [--parallel N] [--seed N] [--strategy NAME|all] \
-[--fidelity topk|predicted|SPEC] [--engine interp|decoded|threaded|batch] [--refresh] [--json] \
+[--fidelity topk|predicted|SPEC] [--engine interp|decoded] [--refresh] [--json] \
 [--out DIR] [--load-cache PATH] [--save-cache PATH]";
 
 impl Args {
@@ -201,9 +201,8 @@ impl Args {
                 }
                 "--engine" => {
                     let v = need(&mut it, "--engine")?;
-                    out.engine = EngineKind::parse(&v).ok_or_else(|| {
-                        format!("unknown engine {v} (interp|decoded|threaded|batch)")
-                    })?;
+                    out.engine = EngineKind::parse(&v)
+                        .ok_or_else(|| format!("unknown engine {v} (interp|decoded)"))?;
                 }
                 "--help" | "-h" => return Err("help requested".into()),
                 other => return Err(format!("unknown flag {other}")),
@@ -317,8 +316,11 @@ mod tests {
         assert_eq!(parse("--seed 1").engine, EngineKind::Decoded);
         assert_eq!(parse("--engine interp").engine, EngineKind::Interp);
         assert_eq!(parse("--engine decoded").engine, EngineKind::Decoded);
-        assert_eq!(parse("--engine threaded").engine, EngineKind::Threaded);
-        assert_eq!(parse("--engine batch").engine, EngineKind::Batch);
+        // Unknown engine labels are refused with the valid choices.
+        for gone in ["threaded", "batch"] {
+            let err = parse_err(&format!("--engine {gone}"));
+            assert!(err.contains("(interp|decoded)"), "{err}");
+        }
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub struct PerfSummary {
     /// Base seed; the sweep is bit-deterministic under it.
     pub seed: u64,
     /// Replay-engine label the sweep ran on
-    /// (`interp|decoded|threaded|batch`). Engines are bit-identical in
+    /// (`interp|decoded`). Engines are bit-identical in
     /// results but not in speed, so the gate refuses to compare sweeps
     /// across engines.
     pub engine: String,
@@ -435,14 +435,14 @@ mod tests {
     #[test]
     fn gates_refuse_cross_engine_comparisons() {
         // Engines are bit-identical in results but not in speed: a
-        // threaded sweep gated against a decoded baseline would hide
+        // interp sweep gated against a decoded baseline would hide
         // (or fake) regressions, so both gates demand matching engines.
         let baseline = summary(100.0);
-        let mut threaded = summary(100.0);
-        threaded.engine = "threaded".into();
-        let err = gate(&threaded, &baseline, 0.25).unwrap_err();
+        let mut interp = summary(100.0);
+        interp.engine = "interp".into();
+        let err = gate(&interp, &baseline, 0.25).unwrap_err();
         assert!(err.contains("engine"), "{err}");
-        assert!(warm_gate(&threaded, &baseline, 0.99, 1.05).is_err());
+        assert!(warm_gate(&interp, &baseline, 0.99, 1.05).is_err());
     }
 
     #[test]

@@ -73,8 +73,7 @@ use crate::CoreError;
 use simtune_cache::{CacheConfig, CacheStats, HierarchyConfig, HierarchyStats};
 use simtune_hw::CycleBreakdown;
 use simtune_isa::{
-    simulate_batch_decoded, simulate_counting_batch_decoded, simulate_counting_decoded,
-    simulate_counting_decoded_on, simulate_decoded, simulate_decoded_on,
+    simulate_counting_decoded, simulate_counting_decoded_on, simulate_decoded, simulate_decoded_on,
     simulate_prefix_decoded_on, DecodedProgram, EngineKind, Executable, InstMix, RunLimits,
     SimError, SimStats, ACCURATE, FAST_COUNT,
 };
@@ -250,7 +249,7 @@ pub trait SimBackend: Send + Sync {
     /// simulator. The default ignores the engine and delegates to
     /// [`SimBackend::run_one_decoded`] — correct for external backends
     /// that drive their own simulator and have no notion of the bundled
-    /// replay ladder. All bundled engines are bit-identical, so honoring
+    /// replay engines. All bundled engines are bit-identical, so honoring
     /// the engine changes host speed only, never statistics.
     ///
     /// # Errors
@@ -265,33 +264,6 @@ pub trait SimBackend: Send + Sync {
     ) -> Result<SimReport, BackendError> {
         let _ = engine;
         self.run_one_decoded(exe, decoded, limits)
-    }
-
-    /// True when [`SimBackend::run_soa_batch`] is cheaper than N calls
-    /// to [`SimBackend::run_one_decoded`] — i.e. the backend has a real
-    /// lane-parallel (structure-of-arrays) replay path. Sessions
-    /// configured with [`EngineKind::Batch`] group same-program trials
-    /// into one SoA batch only when this returns true; the default is
-    /// `false`, so external backends keep per-trial execution.
-    fn supports_soa_batch(&self) -> bool {
-        false
-    }
-
-    /// Replays `exes` — trials of the *same* decoded program differing
-    /// only in their data segments — as lanes of one batched run,
-    /// returning one report per trial in input order. Only called when
-    /// [`SimBackend::supports_soa_batch`] is true; the default falls
-    /// back to sequential per-trial execution so overriding the
-    /// capability probe alone cannot produce wrong results.
-    fn run_soa_batch(
-        &self,
-        exes: &[&Executable],
-        decoded: &DecodedProgram,
-        limits: &RunLimits,
-    ) -> Vec<Result<SimReport, BackendError>> {
-        exes.iter()
-            .map(|exe| self.run_one_decoded(exe, decoded, limits))
-            .collect()
     }
 
     /// Configuration digest for the memoization layer, or `None` to opt
@@ -392,25 +364,6 @@ impl SimBackend for AccurateBackend {
         Ok(SimReport::full(out.stats, ACCURATE, Fidelity::Accurate))
     }
 
-    fn supports_soa_batch(&self) -> bool {
-        true
-    }
-
-    fn run_soa_batch(
-        &self,
-        exes: &[&Executable],
-        decoded: &DecodedProgram,
-        limits: &RunLimits,
-    ) -> Vec<Result<SimReport, BackendError>> {
-        simulate_batch_decoded(exes, decoded, &self.hierarchy, *limits)
-            .into_iter()
-            .map(|r| {
-                let out = r?;
-                Ok(SimReport::full(out.stats, ACCURATE, Fidelity::Accurate))
-            })
-            .collect()
-    }
-
     fn memo_key(&self) -> Option<String> {
         Some(hierarchy_digest(&self.hierarchy))
     }
@@ -486,25 +439,6 @@ impl SimBackend for FastCountBackend {
     ) -> Result<SimReport, BackendError> {
         let out = simulate_counting_decoded_on(exe, decoded, self.line_bytes, *limits, engine)?;
         Ok(SimReport::full(out.stats, FAST_COUNT, Fidelity::CountOnly))
-    }
-
-    fn supports_soa_batch(&self) -> bool {
-        true
-    }
-
-    fn run_soa_batch(
-        &self,
-        exes: &[&Executable],
-        decoded: &DecodedProgram,
-        limits: &RunLimits,
-    ) -> Vec<Result<SimReport, BackendError>> {
-        simulate_counting_batch_decoded(exes, decoded, self.line_bytes, *limits)
-            .into_iter()
-            .map(|r| {
-                let out = r?;
-                Ok(SimReport::full(out.stats, FAST_COUNT, Fidelity::CountOnly))
-            })
-            .collect()
     }
 
     fn memo_key(&self) -> Option<String> {
@@ -965,13 +899,9 @@ impl SimSessionBuilder {
 
     /// Selects the replay engine for every trial (default
     /// [`EngineKind::Decoded`]). Bundled engines are bit-identical, so
-    /// this is purely a host-speed knob: [`EngineKind::Threaded`] lowers
-    /// each decoded program once more into threaded code,
-    /// [`EngineKind::Batch`] additionally lets the session group
-    /// same-program trials of one submission into a lane-parallel SoA
-    /// replay when the backend supports it
-    /// ([`SimBackend::supports_soa_batch`]). Backends that do not
-    /// understand the bundled ladder ignore the selection.
+    /// this is purely a host-speed knob: [`EngineKind::Interp`] runs the
+    /// reference interpreter instead of the pre-decoded replay loop.
+    /// Backends that drive their own simulator ignore the selection.
     pub fn engine(mut self, engine: EngineKind) -> Self {
         self.engine = Some(engine);
         self

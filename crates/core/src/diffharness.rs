@@ -35,11 +35,14 @@
 //!    legitimately changes cache statistics), report a cycle breakdown
 //!    of at least one cycle per retired instruction, and reproduce that
 //!    breakdown bit-identically on a re-run.
-//! 3. **Session sweep** — persistent [`SimSession`]s at `n_parallel ∈
-//!    {1, 2, 4}` on both the per-trial and the SoA-batch
-//!    ([`EngineKind::Batch`]) paths run a multi-trial batch (same
+//! 3. **Session sweep** — persistent [`SimSession`]s on the decoded
+//!    engine at `n_parallel ∈ {1, 2, 4}` run a multi-trial batch (same
 //!    program, distinct data images) through the worker pool; every
 //!    trial must match a direct single-threaded reference run.
+//!
+//! Per case that is 1 engine comparison (decoded vs interp), 10 backend
+//! comparisons (5 tiers × 2 engines) and 9 session comparisons (3
+//! parallelism degrees × 3 trials): 20 in all.
 //!
 //! New engines opt in by joining [`EngineKind::ALL`]; new backends by
 //! being added to the ladder in [`DiffHarness::diff_executable`] with
@@ -57,18 +60,18 @@ use crate::{
 use simtune_cache::{CacheHierarchy, HierarchyConfig};
 use simtune_isa::{
     simulate_counting_decoded_on, simulate_prefix_decoded_on, torture_program_with, AtomicCpu,
-    BatchEngine, BatchLane, DecodedEngine, DecodedProgram, EngineKind, ExecEngine, Executable, Fpr,
-    Gpr, InterpEngine, Memory, NoopHook, Program, RunLimits, SimError, SimStats, TargetIsa,
-    ThreadedEngine, ThreadedProgram, TortureConfig, Vr, DATA_BASE, TORTURE_WINDOW,
+    DecodedEngine, DecodedProgram, EngineKind, ExecEngine, Executable, Fpr, Gpr, InterpEngine,
+    Memory, NoopHook, Program, RunLimits, SimError, SimStats, TargetIsa, TortureConfig, Vr,
+    DATA_BASE, TORTURE_WINDOW,
 };
 
 /// One observed disagreement between a combination under test and its
 /// reference, in a form that can be journaled and printed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Divergence {
-    /// Which combination disagreed, e.g. `"engine:threaded"`,
-    /// `"backend:fast-count×engine:batch"`,
-    /// `"session:accurate×batch×np4[trial 2]"`.
+    /// Which combination disagreed, e.g. `"engine:decoded"`,
+    /// `"backend:fast-count×engine:interp"`,
+    /// `"session:accurate×decoded×np4[trial 2]"`.
     pub combo: String,
     /// Which observable field, e.g. `"stats.inst_mix"`, `"gpr"`,
     /// `"memory"`, `"error"`, `"extrapolated"`.
@@ -133,15 +136,15 @@ struct ObservedState {
 /// [`SimError`]; post-error state is unspecified and never compared.
 type Observed = Result<ObservedState, SimError>;
 
-/// The standing differential gate. Construction spawns six persistent
-/// worker-pool sessions (accurate backend, engines
-/// {[`EngineKind::Decoded`], [`EngineKind::Batch`]} × `n_parallel`
-/// {1, 2, 4}), so a fuzz loop pays thread startup once, not per case.
+/// The standing differential gate. Construction spawns three persistent
+/// worker-pool sessions (accurate backend on [`EngineKind::Decoded`] at
+/// `n_parallel` {1, 2, 4}), so a fuzz loop pays thread startup once,
+/// not per case.
 pub struct DiffHarness {
     hierarchy: HierarchyConfig,
     limits: RunLimits,
-    /// (engine, n_parallel, session) — the pooled execution paths.
-    sessions: Vec<(EngineKind, usize, SimSession)>,
+    /// (n_parallel, session) — the pooled execution paths.
+    sessions: Vec<(usize, SimSession)>,
 }
 
 /// Fraction of the partial sampled tier under test; `min_insts` is
@@ -159,18 +162,18 @@ impl DiffHarness {
     /// Panics if a session fails to build — impossible for the bundled
     /// accurate backend.
     pub fn new(hierarchy: HierarchyConfig) -> Self {
-        let mut sessions = Vec::new();
-        for engine in [EngineKind::Decoded, EngineKind::Batch] {
-            for np in Self::N_PARALLEL {
+        let sessions = Self::N_PARALLEL
+            .into_iter()
+            .map(|np| {
                 let session = SimSession::builder()
                     .accurate(&hierarchy)
-                    .engine(engine)
+                    .engine(EngineKind::Decoded)
                     .n_parallel(np)
                     .build()
                     .expect("accurate session always builds");
-                sessions.push((engine, np, session));
-            }
-        }
+                (np, session)
+            })
+            .collect();
         DiffHarness {
             hierarchy,
             limits: RunLimits::default(),
@@ -312,11 +315,11 @@ impl DiffHarness {
             .iter()
             .map(|t| accurate.run_one_decoded_on(t, &decoded, &self.limits, EngineKind::Decoded))
             .collect();
-        for (engine, np, session) in &self.sessions {
+        for (np, session) in &self.sessions {
             let results = session.run(&trials);
             for (i, (got, want)) in results.iter().zip(&refs).enumerate() {
                 combos += 1;
-                let combo = format!("session:accurate×{}×np{np}[trial {i}]", engine.label());
+                let combo = format!("session:accurate×decoded×np{np}[trial {i}]");
                 match (want, got) {
                     (Ok(w), Ok(g)) => {
                         diff_stats(&combo, &w.stats, &g.stats, &mut divs);
@@ -550,30 +553,6 @@ impl DiffHarness {
                 self.limits,
                 &mut NoopHook,
             )?,
-            EngineKind::Threaded => {
-                let threaded = ThreadedProgram::lower(decoded);
-                ThreadedEngine::new(&threaded).run_with_hook(
-                    &mut cpu,
-                    &mut mem,
-                    &mut hier,
-                    self.limits,
-                    &mut NoopHook,
-                )?
-            }
-            EngineKind::Batch => {
-                let mut hook = NoopHook;
-                let mut lanes = vec![BatchLane {
-                    cpu: &mut cpu,
-                    mem: &mut mem,
-                    hier: &mut hier,
-                    hook: &mut hook,
-                }];
-                let stats = BatchEngine::new(decoded)
-                    .run_lanes(&mut lanes, self.limits)
-                    .remove(0)?;
-                drop(lanes);
-                stats
-            }
         };
         Ok(capture(stats, &cpu, &mem))
     }
@@ -743,7 +722,7 @@ mod tests {
         for seed in 0..4 {
             let out = harness.run_case("baseline", &TortureConfig::baseline(), seed);
             assert!(out.passed(), "seed {seed}: {:#?}", out.divergences);
-            assert!(out.combos > 40, "matrix should be broad: {}", out.combos);
+            assert_eq!(out.combos, 20, "every combination must run");
             assert!(!out.faulted);
         }
     }

@@ -142,10 +142,6 @@ impl SimBackend for PipelinedBackend {
         Ok(Self::report(stats, cycles))
     }
 
-    // No SoA path: each lane owns a timing model, so grouped replay
-    // would buy nothing — supports_soa_batch stays false (the default)
-    // and Batch sessions fall back to per-trial execution.
-
     fn memo_key(&self) -> Option<String> {
         Some(format!(
             "{} btb={} ras={}",

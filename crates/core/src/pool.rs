@@ -123,10 +123,7 @@ pub(crate) struct InflightMap {
 pub(crate) struct BatchCtx {
     pub(crate) backend: Arc<dyn SimBackend>,
     pub(crate) limits: RunLimits,
-    /// Replay engine every trial of this batch runs on; when it is
-    /// [`EngineKind::Batch`] and the backend opts in
-    /// ([`SimBackend::supports_soa_batch`]), planning additionally
-    /// groups same-program trials into SoA task units.
+    /// Replay engine every trial of this batch runs on.
     pub(crate) engine: EngineKind,
     pub(crate) memo: Option<Arc<SimCache>>,
     pub(crate) inflight: Arc<InflightMap>,
@@ -152,43 +149,18 @@ enum TrialPlan {
     Follower { cell: Arc<ResultCell> },
 }
 
-/// One unit of claimable work: a single trial, or a group of
-/// same-program trials a SoA-capable backend replays as lanes of one
-/// batched run ([`SimBackend::run_soa_batch`]).
-enum TaskUnit {
-    /// One trial, executed via [`SimBackend::run_one_decoded_on`].
-    Single(usize),
-    /// Trials of one program (differing only in data segments), in
-    /// submission order. Always at least two entries — a group of one
-    /// degenerates to `Single` at plan time.
-    Group(Vec<usize>),
-}
-
-impl TaskUnit {
-    fn trials(&self) -> usize {
-        match self {
-            TaskUnit::Single(_) => 1,
-            TaskUnit::Group(idxs) => idxs.len(),
-        }
-    }
-}
-
 /// One submitted batch: trials, plans, result slots and completion
 /// bookkeeping. Lives on the pool's deque until drained.
 pub(crate) struct Batch {
     ctx: BatchCtx,
     exes: Vec<Executable>,
     plans: Vec<TrialPlan>,
-    /// Work units that need a worker (leaders + unmemoized trials,
-    /// possibly grouped for SoA replay).
-    tasks: Vec<TaskUnit>,
-    /// Chunk cursor into `tasks`; workers claim with `fetch_add`.
+    /// Indices of the trials that need a worker (leaders + unmemoized
+    /// trials), in submission order.
+    tasks: Vec<usize>,
+    /// Chunk cursor into `tasks`; workers claim [`CHUNK`] at a time
+    /// with `fetch_add`.
     next: AtomicUsize,
-    /// Task units a worker claims per cursor bump, weighted so one
-    /// claim carries about [`CHUNK`] *trials*: SoA groups already bundle
-    /// several trials, and claiming [`CHUNK`] of them at once would
-    /// serialize a whole duplicate-heavy batch onto one worker.
-    claim: usize,
     results: Mutex<Vec<Option<Result<SimReport, CoreError>>>>,
     /// Tasks not yet finished; guarded so `done` can signal exactly once.
     remaining: Mutex<usize>,
@@ -202,7 +174,7 @@ impl Batch {
     pub(crate) fn plan(ctx: BatchCtx, exes: Vec<Executable>) -> Arc<Batch> {
         let n = exes.len();
         let mut plans = Vec::with_capacity(n);
-        let mut execute = Vec::new();
+        let mut tasks = Vec::new();
         let mut results: Vec<Option<Result<SimReport, CoreError>>> = (0..n).map(|_| None).collect();
         let memo_cfg = ctx.ctx_memo();
         for (i, exe) in exes.iter().enumerate() {
@@ -242,21 +214,17 @@ impl Batch {
                 },
             };
             if matches!(plan, TrialPlan::Execute { .. }) {
-                execute.push(i);
+                tasks.push(i);
             }
             plans.push(plan);
         }
-        let tasks = plan_tasks(&ctx, &exes, execute);
         let remaining = tasks.len();
-        let widest = tasks.iter().map(TaskUnit::trials).max().unwrap_or(1);
-        let claim = (CHUNK / widest).max(1);
         Arc::new(Batch {
             ctx,
             exes,
             plans,
             tasks,
             next: AtomicUsize::new(0),
-            claim,
             results: Mutex::new(results),
             remaining: Mutex::new(remaining),
             done: Condvar::new(),
@@ -269,15 +237,6 @@ impl Batch {
 
     fn drained(&self) -> bool {
         self.next.load(Ordering::Relaxed) >= self.tasks.len()
-    }
-
-    /// Executes one claimed work unit; returns how many trials it held.
-    fn run_unit(&self, unit: &TaskUnit) -> usize {
-        match unit {
-            TaskUnit::Single(idx) => self.run_task(*idx),
-            TaskUnit::Group(idxs) => self.run_group(idxs),
-        }
-        unit.trials()
     }
 
     /// Executes one trial and publishes its result.
@@ -293,61 +252,6 @@ impl Batch {
                 )))
             });
         self.publish(idx, r);
-    }
-
-    /// Executes a group of same-program trials as lanes of one SoA
-    /// batch, publishing each lane's result independently.
-    fn run_group(&self, idxs: &[usize]) {
-        // One decode covers the whole group; a program the static
-        // validator rejects falls back to per-trial execution (which in
-        // turn falls back to the backend's raw entry point).
-        let decoded = match self.exes[idxs[0]].decode() {
-            Ok(d) => d,
-            Err(_) => {
-                for &idx in idxs {
-                    self.run_task(idx);
-                }
-                return;
-            }
-        };
-        let refs: Vec<&Executable> = idxs.iter().map(|&i| &self.exes[i]).collect();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.ctx
-                .backend
-                .run_soa_batch(&refs, &decoded, &self.ctx.limits)
-        }));
-        match outcome {
-            Ok(results) if results.len() == idxs.len() => {
-                for (&idx, r) in idxs.iter().zip(results) {
-                    self.publish(idx, r.map_err(CoreError::from));
-                }
-            }
-            Ok(results) => {
-                // A buggy override returned the wrong shape; every lane
-                // must still resolve or `wait` would hang.
-                for &idx in idxs {
-                    self.publish(
-                        idx,
-                        Err(CoreError::Pipeline(format!(
-                            "backend returned {} results for a {}-lane SoA batch",
-                            results.len(),
-                            idxs.len()
-                        ))),
-                    );
-                }
-            }
-            Err(_) => {
-                for &idx in idxs {
-                    self.publish(
-                        idx,
-                        Err(CoreError::Pipeline(format!(
-                            "backend panicked while simulating {:?}",
-                            self.exes[idx].name
-                        ))),
-                    );
-                }
-            }
-        }
     }
 
     /// Publishes one trial's result: memo insertion (leaders only),
@@ -398,45 +302,6 @@ impl BatchCtx {
             t.memo_hits.fetch_add(1, Ordering::Relaxed);
         }
     }
-}
-
-/// Most lanes one SoA work unit carries. Groups are split into chunks
-/// of this size so a duplicate-heavy batch still spreads across the
-/// pool's workers instead of serializing behind one giant group; the
-/// cap is a constant (not derived from `n_parallel`) so the planned
-/// units are identical at every parallelism level.
-const SOA_MAX_LANES: usize = 8;
-
-/// Turns the executable trial indices into claimable work units. With
-/// [`EngineKind::Batch`] on a SoA-capable backend, trials of one
-/// (program, target) are grouped into units of up to [`SOA_MAX_LANES`]
-/// lanes; grouping happens on the submitting thread, keyed by first
-/// occurrence in submission order, so the units — and therefore the
-/// memo traffic and results — are deterministic at every `n_parallel`.
-fn plan_tasks(ctx: &BatchCtx, exes: &[Executable], execute: Vec<usize>) -> Vec<TaskUnit> {
-    if ctx.engine != EngineKind::Batch || !ctx.backend.supports_soa_batch() {
-        return execute.into_iter().map(TaskUnit::Single).collect();
-    }
-    // Linear scan beats hashing here: batches are small and `Program`
-    // has no `Hash`.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for i in execute {
-        let exe = &exes[i];
-        match groups.iter_mut().find(|g| {
-            let rep = &exes[g[0]];
-            g.len() < SOA_MAX_LANES && rep.target == exe.target && rep.program == exe.program
-        }) {
-            Some(group) => group.push(i),
-            None => groups.push(vec![i]),
-        }
-    }
-    groups
-        .into_iter()
-        .map(|g| match g.as_slice() {
-            [only] => TaskUnit::Single(*only),
-            _ => TaskUnit::Group(g),
-        })
-        .collect()
 }
 
 /// Runs one executable the way the per-batch scoped executor used to:
@@ -612,7 +477,7 @@ impl WorkerPool {
         // a box with few cores time-slices *against* the workers doing
         // real work. Busy workers re-scan the queue when their batch
         // drains, so undershooting cannot strand a later batch.
-        let chunks = batch.tasks.len().div_ceil(batch.claim.max(1));
+        let chunks = batch.tasks.len().div_ceil(CHUNK);
         let mut queue = relock(self.shared.queue.lock());
         queue.push(lane, batch);
         drop(queue);
@@ -680,16 +545,16 @@ fn worker_loop(shared: &PoolShared) {
         // once a batch starts it runs to completion, but the *next*
         // batch comes from the next lane in round-robin order.
         loop {
-            let start = batch.next.fetch_add(batch.claim, Ordering::Relaxed);
+            let start = batch.next.fetch_add(CHUNK, Ordering::Relaxed);
             if start >= batch.tasks.len() {
                 break;
             }
-            let end = (start + batch.claim).min(batch.tasks.len());
+            let end = (start + CHUNK).min(batch.tasks.len());
             let t0 = Instant::now();
-            let mut executed = 0u64;
-            for unit in &batch.tasks[start..end] {
-                executed += batch.run_unit(unit) as u64;
+            for &idx in &batch.tasks[start..end] {
+                batch.run_task(idx);
             }
+            let executed = (end - start) as u64;
             let elapsed = t0.elapsed().as_nanos() as u64;
             shared.busy_nanos.fetch_add(elapsed, Ordering::Relaxed);
             shared.trials.fetch_add(executed, Ordering::Relaxed);
@@ -826,102 +691,6 @@ mod tests {
         // publish/wait still work: the guarded Option is plain data.
         cell.publish(Err(CoreError::Pipeline("leader died".into())));
         assert!(matches!(cell.wait(), Err(CoreError::Pipeline(_))));
-    }
-
-    /// SoA-capable marker backend: records the lane count of every
-    /// grouped replay it is handed.
-    struct SoaBackend {
-        groups: Arc<Mutex<Vec<usize>>>,
-    }
-
-    impl SimBackend for SoaBackend {
-        fn name(&self) -> &str {
-            "soa-marker"
-        }
-        fn fidelity(&self) -> Fidelity {
-            Fidelity::Custom
-        }
-        fn run_one(
-            &self,
-            exe: &Executable,
-            _limits: &RunLimits,
-        ) -> Result<SimReport, BackendError> {
-            Ok(SimReport {
-                stats: SimStats {
-                    host_nanos: exe.name.len() as u64,
-                    ..SimStats::default()
-                },
-                backend: "soa-marker".into(),
-                fidelity: Fidelity::Custom,
-                extrapolated: false,
-                cycles: None,
-            })
-        }
-        fn supports_soa_batch(&self) -> bool {
-            true
-        }
-        fn run_soa_batch(
-            &self,
-            exes: &[&Executable],
-            _decoded: &simtune_isa::DecodedProgram,
-            limits: &RunLimits,
-        ) -> Vec<Result<SimReport, BackendError>> {
-            self.groups.lock().unwrap().push(exes.len());
-            exes.iter().map(|e| self.run_one(e, limits)).collect()
-        }
-    }
-
-    #[test]
-    fn batch_engine_groups_same_program_trials() {
-        use simtune_isa::{Gpr, Inst, ProgramBuilder, TargetIsa, DATA_BASE};
-        let variant = |imm: i64, name: &str, datum: f32| {
-            let mut b = ProgramBuilder::new();
-            b.push(Inst::Li { rd: Gpr(1), imm });
-            b.push(Inst::Halt);
-            Executable::new(name, b.build().unwrap(), TargetIsa::riscv_u74())
-                .with_segment(DATA_BASE, vec![datum])
-        };
-        // Three trials of program A (data-only variants), two of B, in
-        // interleaved submission order.
-        let exes = vec![
-            variant(1, "a-one", 0.0),
-            variant(2, "b-one!", 1.0),
-            variant(1, "a-two2", 2.0),
-            variant(2, "b-two!!", 3.0),
-            variant(1, "a-three3", 4.0),
-        ];
-        let groups = Arc::new(Mutex::new(Vec::new()));
-        let ctx = BatchCtx {
-            backend: Arc::new(SoaBackend {
-                groups: groups.clone(),
-            }),
-            limits: RunLimits::default(),
-            engine: EngineKind::Batch,
-            memo: None,
-            inflight: Arc::new(InflightMap::default()),
-            lane: 0,
-            tenant: None,
-        };
-        let pool = WorkerPool::new(2);
-        let batch = Batch::plan(ctx, exes.clone());
-        assert_eq!(batch.n_tasks(), 2, "one task unit per distinct program");
-        pool.enqueue(batch.clone());
-        let out = BatchTicket::new(batch, pool.clone()).wait();
-        for (exe, r) in exes.iter().zip(&out) {
-            assert_eq!(
-                r.as_ref().unwrap().stats.host_nanos,
-                exe.name.len() as u64,
-                "lane results must land in submission order"
-            );
-        }
-        let mut sizes = groups.lock().unwrap().clone();
-        sizes.sort_unstable();
-        assert_eq!(sizes, [2, 3]);
-        assert_eq!(
-            pool.stats().trials,
-            5,
-            "trial counters see lanes, not units"
-        );
     }
 
     /// A backend that blocks every trial on a shared gate, then records

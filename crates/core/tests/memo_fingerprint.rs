@@ -76,7 +76,7 @@ proptest! {
         // Engine, fidelity tier, tier parameters, configuration, limits.
         prop_assert_ne!(
             &k0,
-            &key(&base, "accurate @ cfg", 1_000, EngineKind::Batch)
+            &key(&base, "accurate @ cfg", 1_000, EngineKind::Interp)
         );
         prop_assert_ne!(
             &k0,
@@ -135,4 +135,40 @@ proptest! {
         let miss = key(&exe, "accurate @ cfg", 999, EngineKind::Decoded);
         prop_assert_eq!(cache.lookup(&miss), None);
     }
+}
+
+/// Golden key for a fixed executable on the decoded engine. Snapshot
+/// files (`simtune-simcache-v3`) store these bytes verbatim, so any
+/// change to the layout — the `engine=decoded` line included — would
+/// silently turn every existing snapshot entry into a miss.
+#[test]
+fn decoded_fingerprint_matches_the_golden_key() {
+    use simtune_isa::{Gpr, Inst, ProgramBuilder};
+    let mut b = ProgramBuilder::new();
+    b.push(Inst::Li { rd: Gpr(1), imm: 7 });
+    b.push(Inst::Addi {
+        rd: Gpr(2),
+        rs: Gpr(1),
+        imm: -3,
+    });
+    b.push(Inst::Halt);
+    let exe = Executable::new("golden", b.build().unwrap(), TargetIsa::riscv_u74())
+        .with_segment(DATA_BASE, vec![1.0, -0.0]);
+    let k = key(&exe, "accurate @ cfg", 1_000, EngineKind::Decoded);
+
+    let text = concat!(
+        "target=riscv lanes=1 inst_bytes=4\n",
+        "fidelity=[accurate @ cfg]\n",
+        "engine=decoded\n",
+        "max_insts=1000\n",
+        "      0:  li      r1, 7\n",
+        "      1:  addi    r2, r1, -3\n",
+        "      2:  halt\n",
+    );
+    assert_eq!(std::str::from_utf8(&k[..text.len()]).unwrap(), text);
+    let mut data = DATA_BASE.to_le_bytes().to_vec();
+    data.extend_from_slice(&2u64.to_le_bytes());
+    data.extend_from_slice(&1.0f32.to_bits().to_le_bytes());
+    data.extend_from_slice(&(-0.0f32).to_bits().to_le_bytes());
+    assert_eq!(&k[text.len()..], &data[..]);
 }

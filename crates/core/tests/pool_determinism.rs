@@ -97,14 +97,13 @@ fn memoized_sweep_is_bit_identical_at_every_parallelism() {
 }
 
 #[test]
-fn soa_batched_sweep_is_bit_identical_to_decoded_at_every_parallelism() {
-    // The SoA replay path regroups a batch's trials and finishes
-    // diverged lanes scalar — none of which may leak into results: a
-    // sweep on `EngineKind::Batch` must reproduce the decoded-engine
-    // sweep bit-for-bit at every parallelism.
+fn interp_sweep_is_bit_identical_to_decoded_at_every_parallelism() {
+    // The replay engine is a pure host-speed knob: a sweep on the
+    // reference interpreter must reproduce the decoded-engine sweep
+    // bit-for-bit at every parallelism, pool scheduling included.
     let (def, spec, predictor) = workload();
     let mut reference = None;
-    for engine in [EngineKind::Decoded, EngineKind::Batch] {
+    for engine in [EngineKind::Decoded, EngineKind::Interp] {
         for n_parallel in [1, 2, 4] {
             let result = tune_with_predictor(
                 &def,

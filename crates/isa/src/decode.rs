@@ -15,8 +15,8 @@
 //! times.
 //!
 //! The lowered form is a dense array of [`MicroOp`]s carrying the
-//! original instruction, its precomputed fetch address, its
-//! [`MixClass`], and the index of the basic block it belongs to.
+//! original instruction, its precomputed fetch address and its
+//! [`MixClass`].
 //! Control-flow validity is established **once** at decode time: every
 //! branch target must land inside the program and the last instruction
 //! must not fall through past the end ([`SimError::InvalidPc`]
@@ -33,20 +33,13 @@
 //!   implementation and for one-shot runs where decoding would not
 //!   amortize.
 //! * [`DecodedEngine`] — replays a [`DecodedProgram`]; per-retirement
-//!   work is a single indexed load of the µop.
-//! * [`crate::ThreadedEngine`] — replays a [`DecodedProgram`] lowered
-//!   once more into threaded-code form ([`crate::ThreadedProgram`]):
-//!   per-retirement work is one indirect call through a pre-bound,
-//!   per-kind-specialized handler plus a successor read from the thunk.
-//! * [`crate::BatchEngine`] — not an [`ExecEngine`] (its unit of work is
-//!   a whole batch): replays one decoded program across many data lanes
-//!   in lockstep, falling back to the scalar loop on divergence.
+//!   work is a single indexed load of the µop. The production engine.
 //!
-//! All engines share the single-instruction semantic core
+//! Both engines share the single-instruction semantic core
 //! (`AtomicCpu::exec_inst`), so their architectural results and
 //! [`SimStats`] are bit-identical by construction — a property pinned
 //! down by the differential property suite in `tests/`. [`crate::EngineKind`]
-//! names the ladder for configuration plumbing.
+//! names them for configuration plumbing.
 //!
 //! # Example
 //!
@@ -158,12 +151,10 @@ pub struct MicroOp {
     pub fetch_addr: u64,
     /// Statistics class of the instruction.
     pub class: MixClass,
-    /// Index of the basic block this instruction belongs to.
-    pub block: u32,
 }
 
 /// A [`Program`] lowered once into a dense µop array with validated
-/// control flow and a basic-block index.
+/// control flow.
 ///
 /// Produced by [`DecodedProgram::decode`]; consumed by
 /// [`DecodedEngine`]. Decoding is target-specific only through the
@@ -173,7 +164,6 @@ pub struct MicroOp {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedProgram {
     ops: Vec<MicroOp>,
-    block_starts: Vec<usize>,
     inst_bytes: u64,
 }
 
@@ -218,36 +208,17 @@ impl DecodedProgram {
             });
         }
 
-        // Basic-block leaders: entry, every branch target, and every
-        // fall-through successor of a control-flow instruction.
-        let mut leader = vec![false; len];
-        leader[0] = true;
-        for (at, inst) in insts.iter().enumerate() {
-            if let Some(t) = branch_target(inst) {
-                leader[t] = true;
-            }
-            if (inst.is_branch() || inst.is_terminator()) && at + 1 < len {
-                leader[at + 1] = true;
-            }
-        }
-        let block_starts: Vec<usize> = (0..len).filter(|&pc| leader[pc]).collect();
-
-        let mut ops = Vec::with_capacity(len);
-        let mut block = 0u32;
-        for (pc, inst) in insts.iter().enumerate() {
-            if pc > 0 && leader[pc] {
-                block += 1;
-            }
-            ops.push(MicroOp {
+        let ops = insts
+            .iter()
+            .enumerate()
+            .map(|(pc, inst)| MicroOp {
                 inst: *inst,
                 fetch_addr: CODE_BASE + pc as u64 * target.inst_bytes,
                 class: MixClass::of(inst),
-                block,
-            });
-        }
+            })
+            .collect();
         Ok(DecodedProgram {
             ops,
-            block_starts,
             inst_bytes: target.inst_bytes,
         })
     }
@@ -267,37 +238,9 @@ impl DecodedProgram {
         self.ops.is_empty()
     }
 
-    /// First instruction index of each basic block, ascending.
-    pub fn block_starts(&self) -> &[usize] {
-        &self.block_starts
-    }
-
-    /// Number of basic blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.block_starts.len()
-    }
-
     /// Instruction encoding width the fetch addresses were computed for.
     pub fn inst_bytes(&self) -> u64 {
         self.inst_bytes
-    }
-
-    /// Static instruction mix (each instruction counted once, regardless
-    /// of how often it executes; `branches_taken` is always zero).
-    pub fn static_mix(&self) -> InstMix {
-        let mut mix = InstMix::default();
-        for op in &self.ops {
-            match op.class {
-                MixClass::IntAlu => mix.int_alu += 1,
-                MixClass::FpAlu => mix.fp_alu += 1,
-                MixClass::VecAlu => mix.vec_alu += 1,
-                MixClass::Load => mix.loads += 1,
-                MixClass::Store => mix.stores += 1,
-                MixClass::Branch => mix.branches += 1,
-                MixClass::Other => mix.other += 1,
-            }
-        }
-        mix
     }
 }
 
@@ -555,6 +498,25 @@ mod tests {
     }
 
     #[test]
+    fn decoded_engine_surfaces_inst_limit() {
+        let prog = loop_program();
+        let target = TargetIsa::riscv_u74();
+        let decoded = DecodedProgram::decode(&prog, &target).unwrap();
+        let mut cpu = AtomicCpu::new(&target);
+        let (mut mem, mut hier) = setup();
+        let err = DecodedEngine::new(&decoded)
+            .run_with_hook(
+                &mut cpu,
+                &mut mem,
+                &mut hier,
+                RunLimits { max_insts: 5 },
+                &mut NoopHook,
+            )
+            .unwrap_err();
+        assert_eq!(err, SimError::InstLimitExceeded { limit: 5 });
+    }
+
+    #[test]
     fn decoded_prefix_stops_cleanly_and_matches() {
         let prog = loop_program();
         let target = TargetIsa::riscv_u74();
@@ -600,31 +562,6 @@ mod tests {
             assert_eq!(op.fetch_addr, CODE_BASE + pc as u64 * target.inst_bytes);
         }
         assert_eq!(decoded.inst_bytes(), target.inst_bytes);
-    }
-
-    #[test]
-    fn basic_blocks_split_at_branches_and_targets() {
-        let prog = loop_program();
-        let target = TargetIsa::riscv_u74();
-        let decoded = DecodedProgram::decode(&prog, &target).unwrap();
-        // Leaders: 0 (entry), 3 (branch target = loop head), 6 (after
-        // the conditional branch).
-        assert_eq!(decoded.block_starts(), &[0, 3, 6]);
-        assert_eq!(decoded.num_blocks(), 3);
-        let blocks: Vec<u32> = decoded.ops().iter().map(|op| op.block).collect();
-        assert_eq!(blocks, [0, 0, 0, 1, 1, 1, 2]);
-    }
-
-    #[test]
-    fn static_mix_counts_each_instruction_once() {
-        let prog = loop_program();
-        let target = TargetIsa::riscv_u74();
-        let mix = DecodedProgram::decode(&prog, &target).unwrap().static_mix();
-        assert_eq!(mix.int_alu, 5);
-        assert_eq!(mix.branches, 1);
-        assert_eq!(mix.other, 1);
-        assert_eq!(mix.branches_taken, 0);
-        assert_eq!(mix.total(), 7);
     }
 
     #[test]

@@ -1,22 +1,20 @@
 //! Replay-engine selection: which [`crate::ExecEngine`] drives a run.
 //!
-//! The ladder, from most general to fastest on repeated replay:
+//! Two engines:
 //!
 //! 1. [`crate::InterpEngine`] — re-inspects the raw program each step;
-//! 2. [`crate::DecodedEngine`] — replays the pre-decoded µop array;
-//! 3. [`crate::ThreadedEngine`] — threaded-code dispatch over pre-bound
-//!    handler pointers with pre-resolved successors;
-//! 4. [`crate::BatchEngine`] — batched structure-of-arrays replay of the
-//!    same program over many data sets at once.
+//!    the reference oracle the differential suites compare against;
+//! 2. [`crate::DecodedEngine`] — replays the pre-decoded µop array; the
+//!    production engine.
 //!
-//! All four are observationally identical (same statistics, registers
-//! and memory, bit for bit); the choice only moves host time.
+//! Both are observationally identical (same statistics, registers and
+//! memory, bit for bit); the choice only moves host time.
 
 use std::fmt;
 
-/// Names one rung of the replay-engine ladder. Carried by tuning
-/// sessions so every simulation — and every memoization fingerprint —
-/// knows which engine produced it.
+/// Names one replay engine. Carried by tuning sessions so every
+/// simulation — and every memoization fingerprint — knows which engine
+/// produced it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// Re-decoding interpreter ([`crate::InterpEngine`]): the reference
@@ -25,22 +23,11 @@ pub enum EngineKind {
     /// Pre-decoded µop replay ([`crate::DecodedEngine`]): the default.
     #[default]
     Decoded,
-    /// Threaded-code dispatch ([`crate::ThreadedEngine`]): lowers the
-    /// µop array once into pre-bound handler pointers.
-    Threaded,
-    /// Batched SoA replay ([`crate::BatchEngine`]) for groups of trials
-    /// sharing one program; single trials fall back to the decoded loop.
-    Batch,
 }
 
 impl EngineKind {
-    /// Every engine, in ladder order.
-    pub const ALL: [EngineKind; 4] = [
-        EngineKind::Interp,
-        EngineKind::Decoded,
-        EngineKind::Threaded,
-        EngineKind::Batch,
-    ];
+    /// Every engine, reference oracle first.
+    pub const ALL: [EngineKind; 2] = [EngineKind::Interp, EngineKind::Decoded];
 
     /// Stable lowercase name, used in CLI flags, perf summaries and
     /// memo fingerprints.
@@ -48,8 +35,6 @@ impl EngineKind {
         match self {
             EngineKind::Interp => "interp",
             EngineKind::Decoded => "decoded",
-            EngineKind::Threaded => "threaded",
-            EngineKind::Batch => "batch",
         }
     }
 

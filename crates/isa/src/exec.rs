@@ -1,7 +1,6 @@
 use crate::{
-    AtomicCpu, BatchEngine, BatchLane, DecodedEngine, DecodedProgram, EngineKind, ExecEngine,
-    ExecHook, InterpEngine, Memory, NoopHook, Program, RunLimits, SimError, SimStats, TargetIsa,
-    ThreadedEngine, ThreadedProgram,
+    AtomicCpu, DecodedEngine, DecodedProgram, EngineKind, ExecEngine, ExecHook, InterpEngine,
+    Memory, NoopHook, Program, RunLimits, SimError, SimStats, TargetIsa,
 };
 use simtune_cache::{CacheHierarchy, HierarchyConfig};
 use std::time::Instant;
@@ -112,8 +111,7 @@ pub fn simulate_decoded(
 
 /// [`simulate_decoded`] on an explicit replay engine. All engines are
 /// observationally identical (see the differential suite); the choice
-/// only moves host time. [`EngineKind::Batch`] is a batch-level
-/// concept, so a single trial runs on the decoded loop.
+/// only moves host time.
 ///
 /// # Errors
 ///
@@ -163,9 +161,8 @@ fn run_full(
 }
 
 /// Dispatches one full run to the selected engine with an explicit
-/// event hook. [`EngineKind::Batch`] is a batch-level concept, so a
-/// single hooked trial runs on the decoded loop — which keeps the
-/// per-retirement event sequence identical across all engine kinds.
+/// event hook. Both engines raise the same per-retirement event
+/// sequence.
 #[allow(clippy::too_many_arguments)] // mirrors the run entry points
 fn run_full_hooked<H: ExecHook>(
     prog: &Program,
@@ -179,12 +176,8 @@ fn run_full_hooked<H: ExecHook>(
 ) -> Result<SimStats, SimError> {
     match engine {
         EngineKind::Interp => InterpEngine::new(prog).run_with_hook(cpu, mem, hier, limits, hook),
-        EngineKind::Decoded | EngineKind::Batch => {
+        EngineKind::Decoded => {
             DecodedEngine::new(decoded).run_with_hook(cpu, mem, hier, limits, hook)
-        }
-        EngineKind::Threaded => {
-            let threaded = ThreadedProgram::lower(decoded);
-            ThreadedEngine::new(&threaded).run_with_hook(cpu, mem, hier, limits, hook)
         }
     }
 }
@@ -255,19 +248,14 @@ fn run_prefix(
             budget,
             &mut NoopHook,
         ),
-        EngineKind::Decoded | EngineKind::Batch => DecodedEngine::new(decoded)
-            .run_prefix_with_hook(cpu, mem, hier, limits, budget, &mut NoopHook),
-        EngineKind::Threaded => {
-            let threaded = ThreadedProgram::lower(decoded);
-            ThreadedEngine::new(&threaded).run_prefix_with_hook(
-                cpu,
-                mem,
-                hier,
-                limits,
-                budget,
-                &mut NoopHook,
-            )
-        }
+        EngineKind::Decoded => DecodedEngine::new(decoded).run_prefix_with_hook(
+            cpu,
+            mem,
+            hier,
+            limits,
+            budget,
+            &mut NoopHook,
+        ),
     }
 }
 
@@ -424,113 +412,6 @@ pub fn simulate_prefix_decoded_on(
         },
         completed,
     ))
-}
-
-/// Replays N same-program trials as lanes of one [`BatchEngine`] pass
-/// on the full cache model: every `exes[i]` must share `decoded`'s
-/// program and target, differing only in name and data segments.
-/// Returns one outcome per trial, in input order; lanes fail
-/// independently (a bad data segment or a mid-run [`SimError`] resolves
-/// that lane only).
-///
-/// Host time is measured once for the whole batch and attributed
-/// evenly across its lanes.
-pub fn simulate_batch_decoded(
-    exes: &[&Executable],
-    decoded: &DecodedProgram,
-    hierarchy: &HierarchyConfig,
-    limits: RunLimits,
-) -> Vec<Result<SimOutcome, SimError>> {
-    simulate_batch_inner(
-        exes,
-        decoded,
-        limits,
-        || CacheHierarchy::new(hierarchy.clone()),
-        ACCURATE,
-    )
-}
-
-/// [`simulate_batch_decoded`] on the counting-only hierarchy (the
-/// fast-count flavor); see [`simulate_counting`] for the `line_bytes`
-/// contract.
-pub fn simulate_counting_batch_decoded(
-    exes: &[&Executable],
-    decoded: &DecodedProgram,
-    line_bytes: u64,
-    limits: RunLimits,
-) -> Vec<Result<SimOutcome, SimError>> {
-    simulate_batch_inner(
-        exes,
-        decoded,
-        limits,
-        || CacheHierarchy::counting_only(line_bytes),
-        FAST_COUNT,
-    )
-}
-
-struct LaneSlot {
-    cpu: AtomicCpu,
-    mem: Memory,
-    hier: CacheHierarchy,
-    hook: NoopHook,
-}
-
-fn simulate_batch_inner(
-    exes: &[&Executable],
-    decoded: &DecodedProgram,
-    limits: RunLimits,
-    mk_hier: impl Fn() -> CacheHierarchy,
-    backend: &str,
-) -> Vec<Result<SimOutcome, SimError>> {
-    // Materialize every lane up front; a lane whose segments do not
-    // load resolves to its error without joining the batch.
-    let mut slots: Vec<Result<LaneSlot, SimError>> = exes
-        .iter()
-        .map(|exe| {
-            let mut mem = Memory::new();
-            for (base, values) in &exe.data_segments {
-                mem.write_f32_slice(*base, values)?;
-            }
-            Ok(LaneSlot {
-                cpu: AtomicCpu::new(&exe.target),
-                mem,
-                hier: mk_hier(),
-                hook: NoopHook,
-            })
-        })
-        .collect();
-    let start = Instant::now();
-    let mut lanes: Vec<BatchLane<'_, NoopHook>> = slots
-        .iter_mut()
-        .filter_map(|s| s.as_mut().ok())
-        .map(|s| BatchLane {
-            cpu: &mut s.cpu,
-            mem: &mut s.mem,
-            hier: &mut s.hier,
-            hook: &mut s.hook,
-        })
-        .collect();
-    let n_lanes = lanes.len();
-    let outcomes = BatchEngine::new(decoded).run_lanes(&mut lanes, limits);
-    drop(lanes);
-    let per_lane_nanos = (start.elapsed().as_nanos() as u64 / n_lanes.max(1) as u64).max(1);
-    let mut outcome_iter = outcomes.into_iter();
-    slots
-        .iter_mut()
-        .map(|slot| {
-            // Take the memory in place instead of moving the whole slot:
-            // the register files alone are ~1.4 KiB per lane and nothing
-            // past this point reads them.
-            let lane = slot.as_mut().map_err(|e| e.clone())?;
-            let mut stats = outcome_iter.next().expect("one outcome per lane")?;
-            stats.host_nanos = per_lane_nanos;
-            Ok(SimOutcome {
-                stats,
-                memory: std::mem::take(&mut lane.mem),
-                backend: backend.into(),
-            })
-        })
-        .collect()
 }
 
 impl Executable {

@@ -16,15 +16,12 @@
 //! Execution is split into a **decode phase** and an **execute phase**:
 //! [`DecodedProgram::decode`] lowers a validated [`Program`] once into a
 //! dense µop array (pre-resolved control flow, precomputed fetch
-//! addresses, per-instruction [`MixClass`], basic-block index), and the
+//! addresses, per-instruction [`MixClass`]), and the two
 //! [`ExecEngine`] implementations drive the CPU over either form —
-//! [`InterpEngine`] re-inspects the raw program each step,
-//! [`DecodedEngine`] replays the µop array, [`ThreadedEngine`] replays a
-//! further-lowered threaded-code form ([`ThreadedProgram`]) with
-//! pre-bound handlers, and [`BatchEngine`] replays one decoded program
-//! across many data lanes at once. All engines share one semantic core,
-//! so their observable results are bit-identical; [`EngineKind`] names
-//! them for configuration. `simulate`, `simulate_counting` and
+//! [`InterpEngine`] re-inspects the raw program each step (the reference
+//! oracle) and [`DecodedEngine`] replays the µop array (the production
+//! engine). Both share one semantic core, so their observable results
+//! are bit-identical; [`EngineKind`] names them for configuration. `simulate`, `simulate_counting` and
 //! `simulate_prefix` decode internally; their `*_decoded` variants
 //! accept a pre-decoded handle so batch drivers pay for decoding exactly
 //! once per executable, and the `*_decoded_on` variants additionally
@@ -65,7 +62,6 @@
 //! ```
 
 mod asm;
-mod batch;
 mod cpu;
 mod decode;
 mod disasm;
@@ -78,21 +74,19 @@ mod program;
 mod shrink;
 mod stats;
 mod target;
-mod threaded;
 mod timing;
 mod torture;
 
 pub use asm::{parse_inst, parse_program, AsmError};
-pub use batch::{BatchEngine, BatchLane};
 pub use cpu::{AtomicCpu, ExecHook, NoopHook, RunLimits};
 pub use decode::{DecodedEngine, DecodedProgram, ExecEngine, InterpEngine, MicroOp, MixClass};
 pub use engine::EngineKind;
 pub use error::{BuildProgramError, SimError};
 pub use exec::{
-    simulate, simulate_batch_decoded, simulate_counting, simulate_counting_batch_decoded,
-    simulate_counting_decoded, simulate_counting_decoded_on, simulate_decoded,
-    simulate_decoded_hooked_on, simulate_decoded_on, simulate_prefix, simulate_prefix_decoded,
-    simulate_prefix_decoded_on, Executable, SimOutcome, ACCURATE, FAST_COUNT,
+    simulate, simulate_counting, simulate_counting_decoded, simulate_counting_decoded_on,
+    simulate_decoded, simulate_decoded_hooked_on, simulate_decoded_on, simulate_prefix,
+    simulate_prefix_decoded, simulate_prefix_decoded_on, Executable, SimOutcome, ACCURATE,
+    FAST_COUNT,
 };
 pub use inst::{Fpr, Gpr, Inst, Label, Vr, MAX_LANES};
 pub use memory::Memory;
@@ -100,7 +94,6 @@ pub use program::{Program, ProgramBuilder};
 pub use shrink::shrink_program;
 pub use stats::{InstMix, SimStats};
 pub use target::TargetIsa;
-pub use threaded::{ThreadedEngine, ThreadedProgram};
 pub use timing::{uop_event, Reg, TimingBridge, TimingHook, UopEvent, TIMING_REGS};
 pub use torture::{
     torture_program, torture_program_with, MemoryPattern, TortureConfig, TORTURE_FAULT_CODE,

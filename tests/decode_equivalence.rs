@@ -24,8 +24,7 @@ use simtune::cache::{CacheHierarchy, HierarchyConfig};
 use simtune::core::diffharness::DiffHarness;
 use simtune::isa::{
     AtomicCpu, DecodedEngine, DecodedProgram, ExecEngine, Executable, Fpr, Gpr, Inst, InterpEngine,
-    Memory, NoopHook, Program, ProgramBuilder, RunLimits, TargetIsa, ThreadedEngine,
-    ThreadedProgram, TortureConfig, Vr, DATA_BASE,
+    Memory, NoopHook, Program, ProgramBuilder, RunLimits, TargetIsa, TortureConfig, Vr, DATA_BASE,
 };
 use std::sync::OnceLock;
 
@@ -59,13 +58,12 @@ fn cases_env_override_parses_numbers_and_ignores_garbage() {
 
 #[test]
 fn cases_reads_the_process_environment() {
-    // A valid numeric override must round-trip through the real env
-    // plumbing. The sentinel is a plausible case count so a property
-    // racing this test at worst runs fewer cases, never breaks.
-    std::env::set_var("PROPTEST_CASES", "3");
-    assert_eq!(cases(48), 3);
-    std::env::remove_var("PROPTEST_CASES");
-    assert_eq!(cases(48), 48);
+    // Reads the real environment without writing it: the properties
+    // below run concurrently and read the same variable, so setting it
+    // here would silently cut an elevated `PROPTEST_CASES` run down to
+    // the sentinel.
+    let env = std::env::var("PROPTEST_CASES").ok();
+    assert_eq!(cases(48), cases_from(env.as_deref(), 48));
 }
 
 /// One harness for the whole suite; its pooled worker sessions are the
@@ -88,7 +86,7 @@ fn assert_matrix_agrees(exe: &Executable) {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(combos > 30, "{}: differential matrix shrank", exe.name);
+    assert_eq!(combos, 20, "{}: differential matrix shrank", exe.name);
 }
 
 /// The deterministic data image backing seed `seed`: distinct,
@@ -446,29 +444,6 @@ proptest! {
 
         let interp = run_engine(&InterpEngine::new(&prog), target, Some(budget));
         let fast = run_engine(&DecodedEngine::new(&decoded), target, Some(budget));
-        assert_outputs_identical(&interp, &fast);
-        prop_assert_eq!(interp.completed, budget_percent >= 100);
-    }
-
-    /// Threaded prefix runs stop at the same retirement as the
-    /// interpreter, with identical partial state.
-    #[test]
-    fn threaded_prefix_runs_match_interpreter(
-        words in prop::collection::vec(0u64..u64::MAX, 4..24),
-        iters in 2i64..6,
-        budget_percent in 5u64..150,
-    ) {
-        let target = &TargetIsa::arm_cortex_a72();
-        let prog = build_program(&words, iters);
-        let decoded = DecodedProgram::decode(&prog, target).expect("decodes");
-        let threaded = ThreadedProgram::lower(&decoded);
-
-        let full = run_engine(&InterpEngine::new(&prog), target, None);
-        let total = full.stats.inst_mix.total();
-        let budget = (total * budget_percent / 100).max(1);
-
-        let interp = run_engine(&InterpEngine::new(&prog), target, Some(budget));
-        let fast = run_engine(&ThreadedEngine::new(&threaded), target, Some(budget));
         assert_outputs_identical(&interp, &fast);
         prop_assert_eq!(interp.completed, budget_percent >= 100);
     }
