@@ -50,52 +50,52 @@ fn usage() -> ! {
     exit(2);
 }
 
+/// Rejects a bad command line: the error, then the usage line, exit 2.
+fn bad(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    usage();
+}
+
 fn main() {
     let mut opts = FuzzOptions::default();
     let mut replay: Option<(String, u64)> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                exit(2);
-            })
+            args.next()
+                .unwrap_or_else(|| bad(format!("{flag} needs a value")))
         };
         match arg.as_str() {
             "--seconds" => {
                 let v = value("--seconds");
-                opts.budget = Duration::from_secs_f64(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--seconds: invalid number {v:?}");
-                    exit(2);
-                }));
+                let secs: f64 = v
+                    .parse()
+                    .unwrap_or_else(|_| bad(format!("--seconds: invalid number {v:?}")));
+                opts.budget = Duration::try_from_secs_f64(secs)
+                    .unwrap_or_else(|e| bad(format!("--seconds: {v:?}: {e}")));
             }
             "--start-seed" => {
                 let v = value("--start-seed");
-                opts.start_seed = parse_seed(&v).unwrap_or_else(|| {
-                    eprintln!("--start-seed: invalid seed {v:?}");
-                    exit(2);
-                });
+                opts.start_seed = parse_seed(&v)
+                    .unwrap_or_else(|| bad(format!("--start-seed: invalid seed {v:?}")));
             }
             "--scenario" => opts.scenario = Some(value("--scenario")),
             "--fidelity" => {
                 let v = value("--fidelity");
-                opts.fidelity = Some(v.parse().unwrap_or_else(|e| {
-                    eprintln!("--fidelity: {e}");
-                    exit(2);
-                }));
+                opts.fidelity = Some(
+                    v.parse()
+                        .unwrap_or_else(|e| bad(format!("--fidelity: {e}"))),
+                );
             }
             "--journal" => opts.journal = Some(value("--journal").into()),
             "--repro-dir" => opts.repro_dir = Some(value("--repro-dir").into()),
             "--replay" => {
                 let v = value("--replay");
-                let (scenario, seed) = v.rsplit_once(':').unwrap_or_else(|| {
-                    eprintln!("--replay expects SCENARIO:SEED, got {v:?}");
-                    exit(2);
-                });
-                let seed = parse_seed(seed).unwrap_or_else(|| {
-                    eprintln!("--replay: invalid seed {seed:?}");
-                    exit(2);
-                });
+                let (scenario, seed) = v
+                    .rsplit_once(':')
+                    .unwrap_or_else(|| bad(format!("--replay expects SCENARIO:SEED, got {v:?}")));
+                let seed = parse_seed(seed)
+                    .unwrap_or_else(|| bad(format!("--replay: invalid seed {seed:?}")));
                 replay = Some((scenario.to_string(), seed));
             }
             "--list-scenarios" => {

@@ -9,8 +9,8 @@
 //! [`RandomSearch`](crate::RandomSearch) reproduces the historical
 //! random-sampling tuner bit-for-bit.
 
-use crate::backend::{SimBackend, SimSession};
-use crate::features::WindowKind;
+use crate::backend::{SimBackend, SimSession, SimSessionBuilder};
+use crate::features::{WindowKind, WindowNormalizer};
 use crate::fidelity::FidelitySpec;
 use crate::memo::SimCache;
 use crate::metrics::{ConvergenceStats, PredictorStats, StageTimings};
@@ -21,9 +21,10 @@ use crate::score::ScorePredictor;
 use crate::search::{Evaluation, SearchStrategy, StrategySpec};
 use crate::CoreError;
 use simtune_hw::TargetSpec;
-use simtune_isa::EngineKind;
+use simtune_isa::{EngineKind, Executable};
 use simtune_predict::PredictorKind;
-use simtune_tensor::{ComputeDef, Schedule, SketchGenerator, SketchParams};
+use simtune_tensor::{ComputeDef, Schedule, SketchGenerator};
+use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -147,12 +148,7 @@ pub fn tune_with_predictor(
     predictor: &ScorePredictor,
     opts: &TuneOptions,
 ) -> Result<TuneResult, CoreError> {
-    let session = SimSession::builder()
-        .accurate(&spec.hierarchy)
-        .n_parallel(opts.n_parallel)
-        .memo_cache_opt(opts.memo_cache.clone())
-        .engine(opts.engine)
-        .build()?;
+    let session = session(SimSession::builder().accurate(&spec.hierarchy), opts)?;
     tune_with_predictor_on(def, spec, predictor, opts, &session)
 }
 
@@ -176,151 +172,309 @@ pub fn tune_with_predictor_on(
     if !predictor.is_trained() {
         return Err(CoreError::Pipeline("predictor is not trained".into()));
     }
-    let generator = SketchGenerator::new(def, spec.isa.clone());
-    let mut strategy = opts.strategy.build_sketch(generator.clone(), opts.seed);
-    let (history, sim_runs, timings, replay_nanos) =
-        explore(&generator, def, predictor, strategy.as_mut(), opts, session)?;
-    finish(history, strategy.as_ref(), sim_runs, timings, replay_nanos)
+    let mut eval = Simulate::new(session, predictor, opts);
+    drive_sketch(def, spec, opts, 't', &mut eval)
 }
 
-/// A proposed-and-built batch whose simulation is in flight on the
-/// session's worker pool.
-struct StagedBatch<P> {
-    kept: Vec<P>,
-    failed: Vec<P>,
-    ticket: BatchTicket,
+/// Finishes a session builder the way every tuning flow does: `opts`'
+/// pool size, memo cache and replay engine on the chosen backend.
+pub(crate) fn session(
+    builder: SimSessionBuilder,
+    opts: &TuneOptions,
+) -> Result<SimSession, CoreError> {
+    builder
+        .n_parallel(opts.n_parallel)
+        .memo_cache_opt(opts.memo_cache.clone())
+        .engine(opts.engine)
+        .build()
 }
 
-impl<P> StagedBatch<P> {
-    fn trials(&self) -> usize {
-        self.kept.len() + self.failed.len()
+/// Runs `f`, adding its wall time to `nanos`.
+fn timed<T>(nanos: &mut u64, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    *nanos += t0.elapsed().as_nanos() as u64;
+    out
+}
+
+/// Counters an evaluator adds to.
+#[derive(Default)]
+pub(crate) struct Ledger {
+    timings: StageTimings,
+    replay_nanos: u64,
+}
+
+/// How one tuning flow turns the built candidates of a batch into
+/// scores — the only part of the loop [`drive`] leaves to the flow.
+pub(crate) trait Evaluator {
+    /// An evaluation in flight from `start` to `scores`.
+    type Pending;
+
+    /// True when [`Evaluator::start`] returns before the batch is
+    /// evaluated, so the driver may stage the next batch meanwhile.
+    const ASYNC: bool = false;
+
+    /// True when failed builds are recorded after the batch's built
+    /// candidates; false keeps proposal order.
+    fn failed_last(&self) -> bool {
+        true
+    }
+
+    /// Starts evaluating the batch whose first trial index is `first`:
+    /// one executable per proposed point, `None` where the build failed.
+    fn start(
+        &mut self,
+        first: usize,
+        batch: Vec<Option<Executable>>,
+        ledger: &mut Ledger,
+    ) -> Result<Self::Pending, CoreError>;
+
+    /// One score per built candidate, in proposal order (lower = better;
+    /// `f64::INFINITY` for a failed run).
+    fn scores(
+        &mut self,
+        pending: Self::Pending,
+        ledger: &mut Ledger,
+    ) -> Result<Vec<f64>, CoreError>;
+}
+
+/// Predictor-scored simulation on a session's worker pool, submitted
+/// asynchronously: the sketch and template flows and top-k's
+/// exploration tier.
+pub(crate) struct Simulate<'a> {
+    session: &'a SimSession,
+    predictor: &'a ScorePredictor,
+    // One normalizer for the whole session: the window means evolve over
+    // the full candidate stream, not per batch.
+    normalizer: WindowNormalizer,
+}
+
+impl<'a> Simulate<'a> {
+    pub(crate) fn new(
+        session: &'a SimSession,
+        predictor: &'a ScorePredictor,
+        opts: &TuneOptions,
+    ) -> Self {
+        Simulate {
+            session,
+            predictor,
+            normalizer: WindowNormalizer::new(opts.window),
+        }
     }
 }
 
-/// The shared exploration loop: the strategy proposes batch-wise, the
-/// loop builds, runs on `session`'s backend, scores with `predictor`,
-/// and feeds the evaluations back. Returns the full evaluation history,
-/// the number of simulations submitted (successful builds handed to the
-/// session, whether memoized, failed or completed), the per-stage
-/// producer timings and the summed replay host-nanoseconds.
-///
-/// The loop is *pipelined*: batches are submitted asynchronously
-/// ([`SimSession::submit`]), and when the strategy's proposals cannot
-/// depend on scores ([`SearchStrategy::pipeline_safe`]) the next batch
-/// is proposed and built **while the previous one simulates** on the
-/// persistent pool — the Pac-Sim overlap trick, applied to lowering.
-/// Guided strategies keep strict propose → simulate → observe
-/// sequencing, so the visit order is bit-identical to the sequential
-/// loop for every strategy, at every `n_parallel`.
-fn explore(
-    generator: &SketchGenerator,
-    def: &ComputeDef,
-    predictor: &ScorePredictor,
-    strategy: &mut dyn SearchStrategy<SketchParams>,
-    opts: &TuneOptions,
-    session: &SimSession,
-) -> Result<(Vec<TuneRecord>, usize, StageTimings, u64), CoreError> {
-    let builder = KernelBuilder::new(def.clone(), generator.target().clone());
+impl Evaluator for Simulate<'_> {
+    type Pending = BatchTicket;
+    const ASYNC: bool = true;
 
+    fn start(
+        &mut self,
+        _first: usize,
+        batch: Vec<Option<Executable>>,
+        _ledger: &mut Ledger,
+    ) -> Result<BatchTicket, CoreError> {
+        Ok(self.session.submit(batch.into_iter().flatten().collect()))
+    }
+
+    fn scores(&mut self, ticket: BatchTicket, ledger: &mut Ledger) -> Result<Vec<f64>, CoreError> {
+        let reports = timed(&mut ledger.timings.sim_nanos, || ticket.wait());
+        timed(&mut ledger.timings.score_nanos, || {
+            reports
+                .into_iter()
+                .map(|r| match r {
+                    Ok(report) => {
+                        ledger.replay_nanos += report.stats.host_nanos;
+                        self.predictor
+                            .score_streaming(&report.stats, &mut self.normalizer)
+                    }
+                    Err(_) => Ok(f64::INFINITY),
+                })
+                .collect()
+        })
+    }
+}
+
+/// An evaluator that scores a batch synchronously, inside
+/// [`Evaluator::start`]: `Eager(failed_last, score)`, where `score`
+/// takes the arguments of [`Evaluator::start`].
+struct Eager<F>(bool, F);
+
+impl<F> Evaluator for Eager<F>
+where
+    F: FnMut(usize, Vec<Option<Executable>>, &mut Ledger) -> Result<Vec<f64>, CoreError>,
+{
+    type Pending = Vec<f64>;
+
+    fn failed_last(&self) -> bool {
+        self.0
+    }
+
+    fn start(
+        &mut self,
+        first: usize,
+        batch: Vec<Option<Executable>>,
+        ledger: &mut Ledger,
+    ) -> Result<Vec<f64>, CoreError> {
+        (self.1)(first, batch, ledger)
+    }
+
+    fn scores(&mut self, scores: Vec<f64>, _: &mut Ledger) -> Result<Vec<f64>, CoreError> {
+        Ok(scores)
+    }
+}
+
+/// [`drive`] over the sketch space of `def` on `spec`.
+fn drive_sketch<E: Evaluator>(
+    def: &ComputeDef,
+    spec: &TargetSpec,
+    opts: &TuneOptions,
+    tag: char,
+    eval: &mut E,
+) -> Result<TuneResult, CoreError> {
+    let generator = SketchGenerator::new(def, spec.isa.clone());
+    let strategy = opts.strategy.build_sketch(generator.clone(), opts.seed);
+    let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
+    drive(
+        strategy,
+        |p| Ok(generator.schedule(p)),
+        "",
+        &builder,
+        tag,
+        opts,
+        eval,
+    )
+}
+
+/// A proposed batch: each point with its schedule and whether it built,
+/// in proposal order.
+type Batch<P> = Vec<(P, Schedule, bool)>;
+
+/// The tuning loop every flow runs: the strategy proposes batch-wise,
+/// each point is materialized into a schedule and built (trial names are
+/// `<kernel><tag><first trial index of the batch>`), `eval` scores the
+/// built candidates, and the scores are fed back to the strategy and
+/// recorded — history descriptions are `label` + the point's `Debug`
+/// form. Failed materializations and builds score `f64::INFINITY`.
+///
+/// The loop is *pipelined* when the evaluator is asynchronous
+/// ([`Evaluator::ASYNC`]) and the strategy's proposals cannot depend on
+/// scores ([`SearchStrategy::pipeline_safe`]): the next batch is then
+/// proposed and built **while the previous one simulates** on the
+/// persistent pool — the Pac-Sim overlap trick, applied to lowering.
+/// Otherwise it keeps strict propose → evaluate → observe sequencing,
+/// so the visit order is the same for every strategy, at every
+/// `n_parallel`.
+///
+/// # Errors
+///
+/// Propagates evaluator errors; [`CoreError::Pipeline`] when the
+/// strategy proposes nothing at all.
+pub(crate) fn drive<P: fmt::Debug, E: Evaluator>(
+    mut strategy: Box<dyn SearchStrategy<P>>,
+    schedule_of: impl Fn(&P) -> Result<Schedule, CoreError>,
+    label: &str,
+    builder: &KernelBuilder,
+    tag: char,
+    opts: &TuneOptions,
+    eval: &mut E,
+) -> Result<TuneResult, CoreError> {
+    let pipelined = E::ASYNC && strategy.pipeline_safe();
+    let mut ledger = Ledger::default();
+    let mut simulations = 0;
     let mut history: Vec<TuneRecord> = Vec::new();
-    let mut evaluations: Vec<Evaluation<SketchParams>> = Vec::new();
-    let mut sim_runs = 0usize;
-    let mut timings = StageTimings::default();
-    let mut replay_nanos = 0u64;
-    let pipelined = strategy.pipeline_safe();
-    // One normalizer for the whole session: the window means evolve over
-    // the full candidate stream, not per batch.
-    let mut normalizer = crate::features::WindowNormalizer::new(opts.window);
-    let mut inflight: Option<StagedBatch<SketchParams>> = None;
+    let mut evaluations: Vec<Evaluation<P>> = Vec::new();
+    let mut inflight: Option<(Batch<P>, E::Pending)> = None;
     let mut exhausted = false;
     loop {
-        // Stage the next batch. With a pipeline-safe strategy this
-        // happens while `inflight` is still simulating; otherwise only
-        // when nothing is in flight (scores must reach `observe` first).
-        let committed = history.len() + inflight.as_ref().map_or(0, StagedBatch::trials);
+        // Stage the next batch. With a pipelined loop this happens while
+        // `inflight` is still being evaluated; otherwise only when
+        // nothing is in flight (scores must reach `observe` first).
+        let committed = history.len() + inflight.as_ref().map_or(0, |(points, _)| points.len());
         let staged = if !exhausted && committed < opts.n_trials && (pipelined || inflight.is_none())
         {
             let want = opts.batch_size.min(opts.n_trials - committed);
-            let t0 = Instant::now();
-            let batch = strategy.propose(&evaluations, want);
-            timings.propose_nanos += t0.elapsed().as_nanos() as u64;
-            if batch.is_empty() {
-                exhausted = true; // search space exhausted
+            let batch = timed(&mut ledger.timings.propose_nanos, || {
+                strategy.propose(&evaluations, want)
+            });
+            exhausted = batch.is_empty();
+            if exhausted {
                 None
             } else {
-                // Build; drop failures with a penalty score.
-                let t0 = Instant::now();
-                let mut exes = Vec::new();
-                let mut kept: Vec<SketchParams> = Vec::new();
-                let mut failed: Vec<SketchParams> = Vec::new();
-                for p in batch {
-                    let schedule = generator.schedule(&p);
-                    match builder.build(&schedule, &format!("{}t{committed}", def.name)) {
-                        Ok(e) => {
-                            exes.push(e);
-                            kept.push(p);
-                        }
-                        Err(_) => failed.push(p),
+                let trial = format!("{}{tag}{committed}", builder.def().name);
+                let build = |s: &Schedule| builder.build(s, &trial).ok();
+                let (mut points, mut built) = (Vec::new(), Vec::new());
+                timed(&mut ledger.timings.build_nanos, || {
+                    for p in batch {
+                        let schedule = schedule_of(&p);
+                        let exe = schedule.as_ref().ok().and_then(build);
+                        points.push((p, schedule.unwrap_or_default(), exe.is_some()));
+                        built.push(exe);
                     }
-                }
-                timings.build_nanos += t0.elapsed().as_nanos() as u64;
-                sim_runs += exes.len();
-                let ticket = session.submit(exes);
-                Some(StagedBatch {
-                    kept,
-                    failed,
-                    ticket,
-                })
+                });
+                simulations += built.iter().flatten().count();
+                let pending = eval.start(committed, built, &mut ledger)?;
+                Some((points, pending))
             }
         } else {
             None
         };
 
-        let finished = inflight.take();
-        inflight = staged;
-        let Some(done) = finished else {
+        let Some((mut points, pending)) = std::mem::replace(&mut inflight, staged) else {
             if inflight.is_none() {
                 break;
             }
             continue;
         };
 
-        // Drain, score and observe the finished batch in submission
+        // Score, observe and record the finished batch in submission
         // order — parallelism and pipelining never reorder the stream
-        // the window normalizer and the strategy see.
+        // the evaluator and the strategy see.
+        let mut scores = eval.scores(pending, &mut ledger)?.into_iter();
         let t0 = Instant::now();
-        let stats = done.ticket.wait();
-        timings.sim_nanos += t0.elapsed().as_nanos() as u64;
-        let t0 = Instant::now();
-        let mut batch_evals: Vec<Evaluation<SketchParams>> = Vec::new();
-        for (p, s) in done.kept.into_iter().zip(stats) {
-            let score = match s {
-                Ok(report) => {
-                    replay_nanos += report.stats.host_nanos;
-                    predictor.score_streaming(&report.stats, &mut normalizer)?
-                }
-                Err(_) => f64::INFINITY,
-            };
-            batch_evals.push(Evaluation { point: p, score });
+        if eval.failed_last() {
+            points.sort_by_key(|&(_, _, built)| !built); // stable
         }
-        for p in done.failed {
-            batch_evals.push(Evaluation {
-                point: p,
-                score: f64::INFINITY,
+        let mut batch_evals = Vec::with_capacity(points.len());
+        for (point, schedule, built) in points {
+            let score = if built {
+                scores.next().expect("one score per built candidate")
+            } else {
+                f64::INFINITY
+            };
+            history.push(TuneRecord {
+                description: format!("{label}{point:?}"),
+                schedule,
+                score,
             });
+            batch_evals.push(Evaluation { point, score });
         }
         strategy.observe(&batch_evals);
-        for e in &batch_evals {
-            history.push(TuneRecord {
-                schedule: generator.schedule(&e.point),
-                description: format!("{:?}", e.point),
-                score: e.score,
-            });
-        }
         evaluations.extend(batch_evals);
-        timings.score_nanos += t0.elapsed().as_nanos() as u64;
+        ledger.timings.score_nanos += t0.elapsed().as_nanos() as u64;
     }
-    Ok((history, sim_runs, timings, replay_nanos))
+    if history.is_empty() {
+        return Err(CoreError::Pipeline("tuning produced no candidates".into()));
+    }
+    Ok(TuneResult {
+        best_index: argmin_score(&history),
+        history,
+        strategy: strategy.name().to_string(),
+        convergence: strategy.convergence(),
+        simulations,
+        timings: ledger.timings,
+        predictor: None,
+        replay_nanos: ledger.replay_nanos,
+    })
+}
+
+/// Index of the lowest score in `history` (the first on ties).
+fn argmin_score(history: &[TuneRecord]) -> usize {
+    history
+        .iter()
+        .enumerate()
+        .min_by(|a, b| a.1.score.partial_cmp(&b.1.score).expect("finite or inf"))
+        .map(|(i, _)| i)
+        .expect("non-empty history")
 }
 
 /// Options of the fidelity-escalation mode: how many finalists graduate
@@ -499,24 +653,13 @@ pub fn tune_with_fidelity_escalation(
             "fidelity escalation needs top_k >= 1".into(),
         ));
     }
-    let explore_backend: Arc<dyn SimBackend> = explore_spec(esc).build(&spec.hierarchy)?;
-    let explore_name = explore_backend.name().to_string();
-    let session = SimSession::builder()
-        .backend(explore_backend)
-        .n_parallel(opts.n_parallel)
-        .memo_cache_opt(opts.memo_cache.clone())
-        .engine(opts.engine)
-        .build()?;
-    let generator = SketchGenerator::new(def, spec.isa.clone());
-    let mut strategy = opts.strategy.build_sketch(generator.clone(), opts.seed);
-    let (mut history, explore_runs, mut timings, mut replay_nanos) = explore(
-        &generator,
-        def,
-        predictor,
-        strategy.as_mut(),
-        opts,
-        &session,
-    )?;
+    let tier = explore_spec(esc).build(&spec.hierarchy)?;
+    let cheap = session(SimSession::builder().backend(tier), opts)?;
+    let explore_name = cheap.backend_name().to_string();
+    let mut eval = Simulate::new(&cheap, predictor, opts);
+    let mut result = drive_sketch(def, spec, opts, 't', &mut eval)?;
+    let explore_runs = result.simulations;
+    let history = &mut result.history;
 
     // Graduate the top-k cheap-tier candidates to the accurate tier.
     let mut order: Vec<usize> = (0..history.len())
@@ -531,39 +674,30 @@ pub fn tune_with_fidelity_escalation(
     order.truncate(esc.top_k);
 
     let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
-    let t0 = Instant::now();
-    let mut finalist_idx = Vec::with_capacity(order.len());
-    let mut finalist_exes = Vec::with_capacity(order.len());
-    for &i in &order {
-        // Rebuilding is deterministic (fixed data seed), so the finalist
-        // executes byte-for-byte what the exploration round saw.
-        if let Ok(exe) = builder.build(&history[i].schedule, &format!("{}f{i}", def.name)) {
-            finalist_idx.push(i);
-            finalist_exes.push(exe);
-        }
-    }
-    timings.build_nanos += t0.elapsed().as_nanos() as u64;
-    let accurate = SimSession::builder()
-        .accurate(&spec.hierarchy)
-        .n_parallel(opts.n_parallel)
-        .memo_cache_opt(opts.memo_cache.clone())
-        .engine(opts.engine)
-        .build()?;
+    // Rebuilding is deterministic (fixed data seed), so the finalist
+    // executes byte-for-byte what the exploration round saw.
+    let (finalist_idx, finalist_exes): (Vec<usize>, Vec<_>) =
+        timed(&mut result.timings.build_nanos, || {
+            let build =
+                |i: usize| builder.build(&history[i].schedule, &format!("{}f{i}", def.name));
+            order
+                .iter()
+                .filter_map(|&i| Some((i, build(i).ok()?)))
+                .unzip()
+        });
+    let accurate = session(SimSession::builder().accurate(&spec.hierarchy), opts)?;
     let final_name = accurate.backend_name().to_string();
     let accurate_runs = finalist_exes.len();
-    let t0 = Instant::now();
-    let reports = accurate.run_stats(&finalist_exes);
-    timings.sim_nanos += t0.elapsed().as_nanos() as u64;
+    let reports = timed(&mut result.timings.sim_nanos, || {
+        accurate.run_stats(&finalist_exes)
+    });
 
-    let mut survivors = Vec::new();
-    let mut survivor_stats = Vec::new();
-    for (i, r) in finalist_idx.iter().zip(reports) {
-        if let Ok(stats) = r {
-            replay_nanos += stats.host_nanos;
-            survivors.push(*i);
-            survivor_stats.push(stats);
-        }
-    }
+    let (survivors, survivor_stats): (Vec<usize>, Vec<_>) = finalist_idx
+        .into_iter()
+        .zip(reports)
+        .filter_map(|(i, r)| Some((i, r.ok()?)))
+        .unzip();
+    result.replay_nanos += survivor_stats.iter().map(|s| s.host_nanos).sum::<u64>();
     if survivors.is_empty() {
         return Err(CoreError::Pipeline(
             "no finalist survived accurate re-simulation".into(),
@@ -579,17 +713,10 @@ pub fn tune_with_fidelity_escalation(
             best = (i, s);
         }
     }
+    result.best_index = best.0;
+    result.simulations += accurate_runs;
     Ok(EscalatedTuneResult {
-        result: TuneResult {
-            history,
-            best_index: best.0,
-            strategy: strategy.name().to_string(),
-            convergence: strategy.convergence(),
-            simulations: explore_runs + accurate_runs,
-            timings,
-            predictor: None,
-            replay_nanos,
-        },
+        result,
         explore_backend: explore_name,
         final_backend: final_name,
         explore_runs,
@@ -643,70 +770,29 @@ fn tune_with_uncertainty_escalation(
     ));
     let tier = PredictedBackend::new(inner, Arc::clone(&online));
     let explore_name = tier.name().to_string();
-    let cheap = SimSession::builder()
-        .backend(Arc::new(tier))
-        .n_parallel(opts.n_parallel)
-        .memo_cache_opt(opts.memo_cache.clone())
-        .engine(opts.engine)
-        .build()?;
-    let accurate = SimSession::builder()
-        .accurate(&spec.hierarchy)
-        .n_parallel(opts.n_parallel)
-        .memo_cache_opt(opts.memo_cache.clone())
-        .engine(opts.engine)
-        .build()?;
+    let cheap = session(SimSession::builder().backend(Arc::new(tier)), opts)?;
+    let accurate = session(SimSession::builder().accurate(&spec.hierarchy), opts)?;
     let final_name = accurate.backend_name().to_string();
 
-    let generator = SketchGenerator::new(def, spec.isa.clone());
-    let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
-    let mut strategy = opts.strategy.build_sketch(generator.clone(), opts.seed);
     let fc = predictor.feature_config();
     // Two normalizer streams: the feature stream sees every cheap-tier
     // sample (model inputs), the accurate stream only escalated
     // candidates (training labels / final scores). Both are fed in
     // submission order only.
-    let mut feat_norm = crate::features::WindowNormalizer::new(opts.window);
-    let mut acc_norm = crate::features::WindowNormalizer::new(opts.window);
-
-    let mut history: Vec<TuneRecord> = Vec::new();
-    let mut verified: Vec<bool> = Vec::new();
-    let mut evaluations: Vec<Evaluation<SketchParams>> = Vec::new();
+    let mut feat_norm = WindowNormalizer::new(opts.window);
+    let mut acc_norm = WindowNormalizer::new(opts.window);
     let mut pred_pairs: Vec<(f64, f64)> = Vec::new();
     let mut stats = PredictorStats::default();
-    let mut timings = StageTimings::default();
     let mut explore_runs = 0usize;
     let mut accurate_runs = 0usize;
-    let mut replay_nanos = 0u64;
     let mut incumbent = f64::INFINITY;
+    // History indices of the candidates escalated in the sweep.
+    let mut escalated: Vec<usize> = Vec::new();
 
-    while history.len() < opts.n_trials {
-        let committed = history.len();
-        let want = opts.batch_size.min(opts.n_trials - committed);
-        let t0 = Instant::now();
-        let batch = strategy.propose(&evaluations, want);
-        timings.propose_nanos += t0.elapsed().as_nanos() as u64;
-        if batch.is_empty() {
-            break;
-        }
-        let t0 = Instant::now();
-        let mut kept: Vec<SketchParams> = Vec::new();
-        let mut kept_exes = Vec::new();
-        let mut failed: Vec<SketchParams> = Vec::new();
-        for p in batch {
-            let schedule = generator.schedule(&p);
-            match builder.build(&schedule, &format!("{}t{committed}", def.name)) {
-                Ok(e) => {
-                    kept_exes.push(e);
-                    kept.push(p);
-                }
-                Err(_) => failed.push(p),
-            }
-        }
-        timings.build_nanos += t0.elapsed().as_nanos() as u64;
-        explore_runs += kept_exes.len();
-        let t0 = Instant::now();
-        let reports = cheap.run(&kept_exes);
-        timings.sim_nanos += t0.elapsed().as_nanos() as u64;
+    let sweep = |first: usize, batch: Vec<Option<Executable>>, ledger: &mut Ledger| {
+        let exes: Vec<Executable> = batch.into_iter().flatten().collect();
+        explore_runs += exes.len();
+        let reports = timed(&mut ledger.timings.sim_nanos, || cheap.run(&exes));
 
         // Decision pass, two phases. Phase 1 — strictly in submission
         // order (the normalizer streams and the model must see
@@ -718,7 +804,7 @@ fn tune_with_uncertainty_escalation(
         // predictor, and every escalation refines the correction.
         let t0 = Instant::now();
         let mut model = online.lock().expect("predictor lock");
-        let n_kept = kept.len();
+        let n_kept = exes.len();
         let mut features_of: Vec<Option<Vec<f64>>> = Vec::with_capacity(n_kept);
         let mut provisional: Vec<f64> = vec![f64::INFINITY; n_kept];
         let mut predictions: Vec<Option<Prediction>> = Vec::with_capacity(n_kept);
@@ -728,7 +814,7 @@ fn tune_with_uncertainty_escalation(
                 predictions.push(None);
                 continue;
             };
-            replay_nanos += report.stats.host_nanos;
+            ledger.replay_nanos += report.stats.host_nanos;
             let raw = crate::features::raw_sample(&report.stats, fc);
             feat_norm.feed(&raw);
             let feats = feat_norm.features(&raw, fc);
@@ -778,22 +864,24 @@ fn tune_with_uncertainty_escalation(
                 scores[i] = promise(i);
             }
         }
-        timings.score_nanos += t0.elapsed().as_nanos() as u64;
+        ledger.timings.score_nanos += t0.elapsed().as_nanos() as u64;
 
         // Accurate pass over the escalated originals, still in order.
         let esc_idx: Vec<usize> = (0..n_kept).filter(|&i| escalate[i]).collect();
-        let esc_exes: Vec<_> = esc_idx.iter().map(|&i| kept_exes[i].clone()).collect();
+        let esc_exes: Vec<_> = esc_idx.iter().map(|&i| exes[i].clone()).collect();
         accurate_runs += esc_exes.len();
         stats.escalations += esc_exes.len() as u64;
-        let t0 = Instant::now();
-        let acc_reports = accurate.run_stats(&esc_exes);
-        timings.sim_nanos += t0.elapsed().as_nanos() as u64;
+        let acc_reports = timed(&mut ledger.timings.sim_nanos, || {
+            accurate.run_stats(&esc_exes)
+        });
         let t0 = Instant::now();
         for (&i, r) in esc_idx.iter().zip(acc_reports) {
+            // Built candidates lead their batch in the history.
+            escalated.push(first + i);
             let Ok(s) = r else {
                 continue; // scores[i] stays the INFINITY penalty
             };
-            replay_nanos += s.host_nanos;
+            ledger.replay_nanos += s.host_nanos;
             let score = predictor.score_streaming(&s, &mut acc_norm)?;
             if let Some(p) = &predictions[i] {
                 pred_pairs.push((p.mean, score));
@@ -809,36 +897,15 @@ fn tune_with_uncertainty_escalation(
         if model.refit() {
             stats.train_events += 1;
         }
-        drop(model);
-
-        let mut batch_evals: Vec<Evaluation<SketchParams>> = Vec::new();
-        for (i, p) in kept.into_iter().enumerate() {
-            batch_evals.push(Evaluation {
-                point: p,
-                score: scores[i],
-            });
-            verified.push(escalate[i] || !scores[i].is_finite());
-        }
-        for p in failed {
-            batch_evals.push(Evaluation {
-                point: p,
-                score: f64::INFINITY,
-            });
-            verified.push(true);
-        }
-        strategy.observe(&batch_evals);
-        for e in &batch_evals {
-            history.push(TuneRecord {
-                schedule: generator.schedule(&e.point),
-                description: format!("{:?}", e.point),
-                score: e.score,
-            });
-        }
-        evaluations.extend(batch_evals);
-        timings.score_nanos += t0.elapsed().as_nanos() as u64;
-    }
-    if history.is_empty() {
-        return Err(CoreError::Pipeline("tuning produced no candidates".into()));
+        ledger.timings.score_nanos += t0.elapsed().as_nanos() as u64;
+        Ok(scores)
+    };
+    let mut result = drive_sketch(def, spec, opts, 't', &mut Eager(true, sweep))?;
+    let history = &mut result.history;
+    // A candidate's score is accurate when it escalated or failed.
+    let mut verified: Vec<bool> = history.iter().map(|r| !r.score.is_finite()).collect();
+    for i in escalated {
+        verified[i] = true;
     }
 
     // Winner verification: the returned best always carries an
@@ -846,8 +913,9 @@ fn tune_with_uncertainty_escalation(
     // arg-min or demotes it, so this terminates within `history.len()`
     // accurate runs (far fewer in practice — the winner usually *was*
     // escalated).
+    let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
     loop {
-        let best = argmin_score(&history);
+        let best = argmin_score(history);
         if history[best].score.is_infinite() {
             return Err(CoreError::Pipeline(
                 "no candidate survived accurate verification".into(),
@@ -856,30 +924,29 @@ fn tune_with_uncertainty_escalation(
         if verified[best] {
             break;
         }
-        let t0 = Instant::now();
-        let built = builder.build(&history[best].schedule, &format!("{}v{best}", def.name));
-        timings.build_nanos += t0.elapsed().as_nanos() as u64;
+        let built = timed(&mut result.timings.build_nanos, || {
+            builder.build(&history[best].schedule, &format!("{}v{best}", def.name))
+        });
+        verified[best] = true;
         let Ok(exe) = built else {
             history[best].score = f64::INFINITY;
-            verified[best] = true;
             continue;
         };
         accurate_runs += 1;
         stats.escalations += 1;
-        let t0 = Instant::now();
-        let report = accurate
-            .run_stats(std::slice::from_ref(&exe))
-            .pop()
-            .expect("one report per executable");
-        timings.sim_nanos += t0.elapsed().as_nanos() as u64;
+        let report = timed(&mut result.timings.sim_nanos, || {
+            accurate
+                .run_stats(std::slice::from_ref(&exe))
+                .pop()
+                .expect("one report per executable")
+        });
         history[best].score = match report {
             Ok(s) => {
-                replay_nanos += s.host_nanos;
+                result.replay_nanos += s.host_nanos;
                 predictor.score_streaming(&s, &mut acc_norm)?
             }
             Err(_) => f64::INFINITY,
         };
-        verified[best] = true;
     }
 
     stats.observations = online.lock().expect("predictor lock").observations() as u64;
@@ -893,33 +960,16 @@ fn tune_with_uncertainty_escalation(
             pred_pairs.iter().map(|(p, a)| (p - a).abs()).sum::<f64>() / pred_pairs.len() as f64;
         stats.mean_abs_rank_error = rank_displacement(&pred_pairs);
     }
-
-    let best_index = argmin_score(&history);
+    result.best_index = argmin_score(history);
+    result.simulations = explore_runs + accurate_runs;
+    result.predictor = Some(stats);
     Ok(EscalatedTuneResult {
-        result: TuneResult {
-            history,
-            best_index,
-            strategy: strategy.name().to_string(),
-            convergence: strategy.convergence(),
-            simulations: explore_runs + accurate_runs,
-            timings,
-            predictor: Some(stats),
-            replay_nanos,
-        },
+        result,
         explore_backend: explore_name,
         final_backend: final_name,
         explore_runs,
         accurate_runs,
     })
-}
-
-fn argmin_score(history: &[TuneRecord]) -> usize {
-    history
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.score.partial_cmp(&b.1.score).expect("finite or inf"))
-        .map(|(i, _)| i)
-        .expect("non-empty history")
 }
 
 /// Mean |rank(predicted) − rank(accurate)| over `(predicted, accurate)`
@@ -961,88 +1011,26 @@ pub fn tune_on_hardware(
     spec: &TargetSpec,
     opts: &TuneOptions,
 ) -> Result<TuneResult, CoreError> {
-    let generator = SketchGenerator::new(def, spec.isa.clone());
-    let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
     let hw = HardwareRunner {
         noise_seed: opts.seed ^ 0x7A11,
         ..HardwareRunner::new(spec.clone())
     };
-    let mut strategy = opts.strategy.build_sketch(generator.clone(), opts.seed);
-    let mut history: Vec<TuneRecord> = Vec::new();
-    let mut evaluations: Vec<Evaluation<SketchParams>> = Vec::new();
-    let mut hw_runs = 0usize;
-    let mut timings = StageTimings::default();
     // Hardware measurement is inherently sequential (Section IV: the
-    // board benchmarks one binary at a time), so this loop does not
-    // pipeline; the timings still expose where the wall time goes.
-    while history.len() < opts.n_trials {
-        let want = opts.batch_size.min(opts.n_trials - history.len());
-        let t0 = Instant::now();
-        let batch = strategy.propose(&evaluations, want);
-        timings.propose_nanos += t0.elapsed().as_nanos() as u64;
-        if batch.is_empty() {
-            break;
-        }
-        let mut batch_evals: Vec<Evaluation<SketchParams>> = Vec::new();
-        for p in batch {
-            let schedule = generator.schedule(&p);
-            let t0 = Instant::now();
-            let built = builder.build(&schedule, &format!("{}h{}", def.name, history.len()));
-            timings.build_nanos += t0.elapsed().as_nanos() as u64;
-            let score = built
-                .and_then(|exe| {
-                    hw_runs += 1;
-                    let t0 = Instant::now();
-                    let measured = hw.run_one(&exe, history.len() + batch_evals.len());
-                    timings.sim_nanos += t0.elapsed().as_nanos() as u64;
-                    measured
-                })
-                .map(|m| m.t_ref)
-                .unwrap_or(f64::INFINITY);
-            batch_evals.push(Evaluation { point: p, score });
-        }
-        let t0 = Instant::now();
-        strategy.observe(&batch_evals);
-        for e in &batch_evals {
-            history.push(TuneRecord {
-                description: format!("{:?}", e.point),
-                schedule: generator.schedule(&e.point),
-                score: e.score,
+    // board benchmarks one binary at a time) and replays nothing on a
+    // simulator. The noise index is the trial's history slot, failed
+    // builds included, and failed builds keep their proposal slot.
+    let measure = |first: usize, batch: Vec<Option<Executable>>, ledger: &mut Ledger| {
+        let mut scores = Vec::with_capacity(batch.len());
+        for (slot, exe) in batch.iter().enumerate() {
+            let Some(exe) = exe else { continue };
+            let measured = timed(&mut ledger.timings.sim_nanos, || {
+                hw.run_one(exe, first + slot)
             });
+            scores.push(measured.map_or(f64::INFINITY, |m| m.t_ref));
         }
-        evaluations.extend(batch_evals);
-        timings.score_nanos += t0.elapsed().as_nanos() as u64;
-    }
-    // Hardware measurement replays nothing on a simulator.
-    finish(history, strategy.as_ref(), hw_runs, timings, 0)
-}
-
-fn finish(
-    history: Vec<TuneRecord>,
-    strategy: &dyn SearchStrategy<SketchParams>,
-    simulations: usize,
-    timings: StageTimings,
-    replay_nanos: u64,
-) -> Result<TuneResult, CoreError> {
-    if history.is_empty() {
-        return Err(CoreError::Pipeline("tuning produced no candidates".into()));
-    }
-    let best_index = history
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.score.partial_cmp(&b.1.score).expect("finite or inf"))
-        .map(|(i, _)| i)
-        .expect("non-empty history");
-    Ok(TuneResult {
-        history,
-        best_index,
-        strategy: strategy.name().to_string(),
-        convergence: strategy.convergence(),
-        simulations,
-        timings,
-        predictor: None,
-        replay_nanos,
-    })
+        Ok(scores)
+    };
+    drive_sketch(def, spec, opts, 'h', &mut Eager(false, measure))
 }
 
 #[cfg(test)]

@@ -73,9 +73,8 @@ use crate::CoreError;
 use simtune_cache::{CacheConfig, CacheStats, HierarchyConfig, HierarchyStats};
 use simtune_hw::CycleBreakdown;
 use simtune_isa::{
-    simulate_counting_decoded, simulate_counting_decoded_on, simulate_decoded, simulate_decoded_on,
-    simulate_prefix_decoded_on, DecodedProgram, EngineKind, Executable, InstMix, RunLimits,
-    SimError, SimStats, ACCURATE, FAST_COUNT,
+    simulate_counting_decoded_on, simulate_decoded_on, simulate_prefix_decoded_on, DecodedProgram,
+    EngineKind, Executable, InstMix, RunLimits, SimError, SimStats, ACCURATE, FAST_COUNT,
 };
 use std::error::Error;
 use std::fmt;
@@ -349,8 +348,7 @@ impl SimBackend for AccurateBackend {
         decoded: &DecodedProgram,
         limits: &RunLimits,
     ) -> Result<SimReport, BackendError> {
-        let out = simulate_decoded(exe, decoded, &self.hierarchy, *limits)?;
-        Ok(SimReport::full(out.stats, ACCURATE, Fidelity::Accurate))
+        self.run_one_decoded_on(exe, decoded, limits, EngineKind::Decoded)
     }
 
     fn run_one_decoded_on(
@@ -426,8 +424,7 @@ impl SimBackend for FastCountBackend {
         decoded: &DecodedProgram,
         limits: &RunLimits,
     ) -> Result<SimReport, BackendError> {
-        let out = simulate_counting_decoded(exe, decoded, self.line_bytes, *limits)?;
-        Ok(SimReport::full(out.stats, FAST_COUNT, Fidelity::CountOnly))
+        self.run_one_decoded_on(exe, decoded, limits, EngineKind::Decoded)
     }
 
     fn run_one_decoded_on(

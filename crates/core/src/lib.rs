@@ -15,7 +15,7 @@
 //! | static/dynamic window mean approximation (Section III-E) | [`WindowNormalizer`] |
 //! | predictor training / execution workflow (Fig. 4) | [`ScorePredictor`], [`collect_group_data`] |
 //! | evaluation metrics `E_top1`, `R_top1`, `Q` and Eq. 4 | [`prediction_metrics`], [`parallel_speedup_k`] |
-//! | batch-wise candidate search (Fig. 2) | [`tune_with_predictor`], [`tune_template_space`] |
+//! | batch-wise candidate search (Fig. 2) | one pipelined driver loop behind [`tune_with_predictor`], [`tune_template_space`], [`tune_on_hardware`] and [`tune_with_fidelity_escalation`] |
 //! | "selectable tuning algorithms" (Section II-A) | [`SearchStrategy`], [`StrategySpec`], [`search`] |
 //!
 //! # Quickstart

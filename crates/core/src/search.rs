@@ -32,12 +32,13 @@
 //! | [`Evolutionary`] | tournament selection + crossover/mutation | broad spaces with structure |
 //! | [`Annealing`] | single-point Metropolis walk | escaping local minima on a budget |
 //!
-//! The tuning loops ([`crate::tune_with_predictor`],
+//! The tuning flows ([`crate::tune_with_predictor`],
 //! [`crate::tune_with_fidelity_escalation`], [`crate::tune_on_hardware`],
-//! [`crate::tune_template_space`]) take their strategy from
-//! [`crate::TuneOptions::strategy`] as a [`StrategySpec`], so every
-//! strategy composes with the memo cache, the batch executor and all
-//! three bundled backends without further wiring. Convergence counters
+//! [`crate::tune_template_space`]) all run on one driver loop, which is
+//! the only caller of [`SearchStrategy::propose`]. They take their
+//! strategy from [`crate::TuneOptions::strategy`] as a [`StrategySpec`],
+//! so every strategy composes with the memo cache, the batch executor
+//! and every bundled backend without further wiring. Convergence counters
 //! are surfaced per run as [`ConvergenceStats`] on
 //! [`crate::TuneResult`].
 //!

@@ -11,23 +11,20 @@
 //! all drive the same simulator-backed loop, selected through
 //! [`TuneOptions::strategy`].
 
+use crate::autotune::{drive, session, Simulate};
 use crate::backend::SimSession;
-use crate::features::WindowNormalizer;
-use crate::metrics::StageTimings;
-use crate::pool::BatchTicket;
 use crate::runner::KernelBuilder;
 use crate::score::ScorePredictor;
-use crate::search::Evaluation;
-use crate::{CoreError, TuneOptions, TuneRecord, TuneResult};
+use crate::{CoreError, TuneOptions, TuneResult};
 use simtune_hw::TargetSpec;
 use simtune_tensor::{ComputeDef, ConfigSpace};
-use std::time::Instant;
 
 /// AutoTVM-style tuning loop: template configurations are materialized,
 /// built, run on `n_parallel` simulators and scored by a trained
 /// predictor; invalid configurations receive an infinite score, exactly
 /// like failed builds in TVM. The strategy selected by
-/// [`TuneOptions::strategy`] walks the space.
+/// [`TuneOptions::strategy`] walks the space on the same pipelined
+/// driver as the sketch flow.
 ///
 /// # Errors
 ///
@@ -46,153 +43,17 @@ pub fn tune_template_space(
         return Err(CoreError::Pipeline("predictor is not trained".into()));
     }
     let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
-    let sim = SimSession::builder()
-        .accurate(&spec.hierarchy)
-        .n_parallel(opts.n_parallel)
-        .memo_cache_opt(opts.memo_cache.clone())
-        .engine(opts.engine)
-        .build()?;
-    let mut strategy = opts.strategy.build_template(space.clone(), opts.seed)?;
-    let mut normalizer = WindowNormalizer::new(opts.window);
-    let mut history: Vec<TuneRecord> = Vec::new();
-    let mut evaluations: Vec<Evaluation<Vec<usize>>> = Vec::new();
-    let mut sim_runs = 0usize;
-    let mut timings = StageTimings::default();
-    let mut replay_nanos = 0u64;
-    let pipelined = strategy.pipeline_safe();
-
-    /// A materialized batch whose simulation is in flight.
-    struct Staged {
-        kept: Vec<(Vec<usize>, simtune_tensor::Schedule)>,
-        failed: Vec<Vec<usize>>,
-        ticket: BatchTicket,
-    }
-    impl Staged {
-        fn trials(&self) -> usize {
-            self.kept.len() + self.failed.len()
-        }
-    }
-
-    // Same pipelined shape as the sketch loop (`autotune::explore`):
-    // score-independent strategies (grid, random) materialize and build
-    // batch k+1 while batch k simulates on the session's persistent
-    // pool; guided strategies keep strict sequencing. Visit order is
-    // identical either way.
-    let mut inflight: Option<Staged> = None;
-    let mut exhausted = false;
-    loop {
-        let committed = history.len() + inflight.as_ref().map_or(0, Staged::trials);
-        let staged = if !exhausted && committed < opts.n_trials && (pipelined || inflight.is_none())
-        {
-            let want = opts.batch_size.min(opts.n_trials - committed);
-            let t0 = Instant::now();
-            let batch = strategy.propose(&evaluations, want);
-            timings.propose_nanos += t0.elapsed().as_nanos() as u64;
-            if batch.is_empty() {
-                exhausted = true; // space exhausted
-                None
-            } else {
-                // Materialize + build; invalid configs keep a slot
-                // with +inf.
-                let t0 = Instant::now();
-                let mut exes = Vec::new();
-                let mut kept: Vec<(Vec<usize>, simtune_tensor::Schedule)> = Vec::new();
-                let mut failed: Vec<Vec<usize>> = Vec::new();
-                for cfg in batch {
-                    match space
-                        .schedule(def, &cfg)
-                        .map_err(CoreError::from)
-                        .and_then(|s| {
-                            builder
-                                .build(&s, &format!("{}c{committed}", def.name))
-                                .map(|e| (s, e))
-                        }) {
-                        Ok((s, e)) => {
-                            exes.push(e);
-                            kept.push((cfg, s));
-                        }
-                        Err(_) => failed.push(cfg),
-                    }
-                }
-                timings.build_nanos += t0.elapsed().as_nanos() as u64;
-                sim_runs += exes.len();
-                let ticket = sim.submit(exes);
-                Some(Staged {
-                    kept,
-                    failed,
-                    ticket,
-                })
-            }
-        } else {
-            None
-        };
-
-        let finished = inflight.take();
-        inflight = staged;
-        let Some(done) = finished else {
-            if inflight.is_none() {
-                break;
-            }
-            continue;
-        };
-
-        let t0 = Instant::now();
-        let reports = done.ticket.wait();
-        timings.sim_nanos += t0.elapsed().as_nanos() as u64;
-        let t0 = Instant::now();
-        let mut scored: Vec<(Option<simtune_tensor::Schedule>, Evaluation<Vec<usize>>)> =
-            Vec::new();
-        for ((cfg, schedule), r) in done.kept.into_iter().zip(reports) {
-            let score = match r {
-                Ok(report) => {
-                    replay_nanos += report.stats.host_nanos;
-                    predictor.score_streaming(&report.stats, &mut normalizer)?
-                }
-                Err(_) => f64::INFINITY,
-            };
-            scored.push((Some(schedule), Evaluation { point: cfg, score }));
-        }
-        for cfg in done.failed {
-            scored.push((
-                None,
-                Evaluation {
-                    point: cfg,
-                    score: f64::INFINITY,
-                },
-            ));
-        }
-        let batch_evals: Vec<Evaluation<Vec<usize>>> =
-            scored.iter().map(|(_, e)| e.clone()).collect();
-        strategy.observe(&batch_evals);
-        for (schedule, e) in scored {
-            history.push(TuneRecord {
-                description: format!("config {:?}", e.point),
-                schedule: schedule.unwrap_or_default(),
-                score: e.score,
-            });
-        }
-        evaluations.extend(batch_evals);
-        timings.score_nanos += t0.elapsed().as_nanos() as u64;
-    }
-    if history.is_empty() {
-        return Err(CoreError::Pipeline("template space yielded nothing".into()));
-    }
-    let best_index = history
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.score.partial_cmp(&b.1.score).expect("finite or inf"))
-        .map(|(i, _)| i)
-        .expect("non-empty");
-    Ok(TuneResult {
-        history,
-        best_index,
-        strategy: strategy.name().to_string(),
-        convergence: strategy.convergence(),
-        simulations: sim_runs,
-        timings,
-        predictor: None,
-        replay_nanos,
-    })
+    let sim = session(SimSession::builder().accurate(&spec.hierarchy), opts)?;
+    let mut eval = Simulate::new(&sim, predictor, opts);
+    drive(
+        opts.strategy.build_template(space.clone(), opts.seed)?,
+        |cfg| Ok(space.schedule(def, cfg)?),
+        "config ",
+        &builder,
+        'c',
+        opts,
+        &mut eval,
+    )
 }
 
 #[cfg(test)]

@@ -119,8 +119,15 @@ fn sampled_partial_prefix_matches_accurate_prefix_and_flags_extrapolation() {
         let count = simtune_isa::simulate_counting_decoded(&exe, &decoded, line, limits).unwrap();
         let total = count.stats.inst_mix.total();
         let budget = ((total as f64 * fraction).ceil() as u64).max(1);
-        let (prefix, completed) =
-            simtune_isa::simulate_prefix_decoded(&exe, &decoded, &hier(), limits, budget).unwrap();
+        let (prefix, completed) = simtune_isa::simulate_prefix_decoded_on(
+            &exe,
+            &decoded,
+            &hier(),
+            limits,
+            budget,
+            EngineKind::Decoded,
+        )
+        .unwrap();
 
         assert_eq!(s.extrapolated, !completed, "{ctx}: extrapolation flag");
         if completed {

@@ -123,41 +123,33 @@ pub fn simulate_decoded_on(
     limits: RunLimits,
     engine: EngineKind,
 ) -> Result<SimOutcome, SimError> {
+    simulate_decoded_hooked_on(exe, decoded, hierarchy, limits, engine, &mut NoopHook)
+}
+
+/// Loads `exe` on a fresh instance — its data segments in new memory, a
+/// cold hierarchy from `hier`, a reset CPU — and times `run` over it.
+fn run_fresh(
+    exe: &Executable,
+    hier: impl FnOnce() -> CacheHierarchy,
+    backend: &str,
+    run: impl FnOnce(&mut AtomicCpu, &mut Memory, &mut CacheHierarchy) -> Result<SimStats, SimError>,
+) -> Result<SimOutcome, SimError> {
     let mut mem = Memory::new();
     for (base, values) in &exe.data_segments {
         mem.write_f32_slice(*base, values)?;
     }
-    let mut hier = CacheHierarchy::new(hierarchy.clone());
+    // Built after the segments load: the allocation order decides how
+    // well the allocator reuses the (large) hierarchy across trials.
+    let mut hier = hier();
     let mut cpu = AtomicCpu::new(&exe.target);
     let start = Instant::now();
-    let mut stats = run_full(
-        &exe.program,
-        decoded,
-        engine,
-        &mut cpu,
-        &mut mem,
-        &mut hier,
-        limits,
-    )?;
+    let mut stats = run(&mut cpu, &mut mem, &mut hier)?;
     stats.host_nanos = start.elapsed().as_nanos().max(1) as u64;
     Ok(SimOutcome {
         stats,
         memory: mem,
-        backend: ACCURATE.into(),
+        backend: backend.into(),
     })
-}
-
-/// Dispatches one full run to the selected engine.
-fn run_full(
-    prog: &Program,
-    decoded: &DecodedProgram,
-    engine: EngineKind,
-    cpu: &mut AtomicCpu,
-    mem: &mut Memory,
-    hier: &mut CacheHierarchy,
-    limits: RunLimits,
-) -> Result<SimStats, SimError> {
-    run_full_hooked(prog, decoded, engine, cpu, mem, hier, limits, &mut NoopHook)
 }
 
 /// Dispatches one full run to the selected engine with an explicit
@@ -202,61 +194,10 @@ pub fn simulate_decoded_hooked_on<H: ExecHook>(
     engine: EngineKind,
     hook: &mut H,
 ) -> Result<SimOutcome, SimError> {
-    let mut mem = Memory::new();
-    for (base, values) in &exe.data_segments {
-        mem.write_f32_slice(*base, values)?;
-    }
-    let mut hier = CacheHierarchy::new(hierarchy.clone());
-    let mut cpu = AtomicCpu::new(&exe.target);
-    let start = Instant::now();
-    let mut stats = run_full_hooked(
-        &exe.program,
-        decoded,
-        engine,
-        &mut cpu,
-        &mut mem,
-        &mut hier,
-        limits,
-        hook,
-    )?;
-    stats.host_nanos = start.elapsed().as_nanos().max(1) as u64;
-    Ok(SimOutcome {
-        stats,
-        memory: mem,
-        backend: ACCURATE.into(),
+    let hier = || CacheHierarchy::new(hierarchy.clone());
+    run_fresh(exe, hier, ACCURATE, |cpu, mem, hier| {
+        run_full_hooked(&exe.program, decoded, engine, cpu, mem, hier, limits, hook)
     })
-}
-
-/// Dispatches one prefix run to the selected engine.
-#[allow(clippy::too_many_arguments)] // mirrors the run entry points
-fn run_prefix(
-    prog: &Program,
-    decoded: &DecodedProgram,
-    engine: EngineKind,
-    cpu: &mut AtomicCpu,
-    mem: &mut Memory,
-    hier: &mut CacheHierarchy,
-    limits: RunLimits,
-    budget: u64,
-) -> Result<(SimStats, bool), SimError> {
-    match engine {
-        EngineKind::Interp => InterpEngine::new(prog).run_prefix_with_hook(
-            cpu,
-            mem,
-            hier,
-            limits,
-            budget,
-            &mut NoopHook,
-        ),
-        EngineKind::Decoded => DecodedEngine::new(decoded).run_prefix_with_hook(
-            cpu,
-            mem,
-            hier,
-            limits,
-            budget,
-            &mut NoopHook,
-        ),
-    }
 }
 
 /// Canonical name of the full instruction-accurate simulator flavor.
@@ -264,30 +205,16 @@ pub const ACCURATE: &str = "accurate";
 /// Canonical name of the counting-only simulator flavor.
 pub const FAST_COUNT: &str = "fast-count";
 
-/// Loads and runs `exe` on a *counting-only* simulator instance: the
-/// program executes functionally and retired instructions plus memory
-/// accesses are tallied, but no cache hierarchy is modeled (the
-/// QEMU-plugin instrumentation style the paper names as the cheap
-/// alternative to gem5). `line_bytes` must match the reference
-/// hierarchy's line size so vector accesses touch the same line count.
+/// Runs `exe` on a *counting-only* simulator instance: the program
+/// executes functionally and retired instructions plus memory accesses
+/// are tallied, but no cache hierarchy is modeled (the QEMU-plugin
+/// instrumentation style the paper names as the cheap alternative to
+/// gem5). `line_bytes` must match the reference hierarchy's line size so
+/// vector accesses touch the same line count. See [`simulate_decoded`]
+/// for the contract on `decoded`.
 ///
 /// Retired-instruction counts are bit-identical to [`simulate`]'s: both
 /// run the same functional CPU on the same inputs.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn simulate_counting(
-    exe: &Executable,
-    line_bytes: u64,
-    limits: RunLimits,
-) -> Result<SimOutcome, SimError> {
-    let decoded = exe.decode()?;
-    simulate_counting_decoded(exe, &decoded, line_bytes, limits)
-}
-
-/// [`simulate_counting`] over a pre-decoded program; see
-/// [`simulate_decoded`] for the contract on `decoded`.
 ///
 /// # Errors
 ///
@@ -314,66 +241,28 @@ pub fn simulate_counting_decoded_on(
     limits: RunLimits,
     engine: EngineKind,
 ) -> Result<SimOutcome, SimError> {
-    let mut mem = Memory::new();
-    for (base, values) in &exe.data_segments {
-        mem.write_f32_slice(*base, values)?;
-    }
-    let mut hier = CacheHierarchy::counting_only(line_bytes);
-    let mut cpu = AtomicCpu::new(&exe.target);
-    let start = Instant::now();
-    let mut stats = run_full(
-        &exe.program,
-        decoded,
-        engine,
-        &mut cpu,
-        &mut mem,
-        &mut hier,
-        limits,
-    )?;
-    stats.host_nanos = start.elapsed().as_nanos().max(1) as u64;
-    Ok(SimOutcome {
-        stats,
-        memory: mem,
-        backend: FAST_COUNT.into(),
+    let hier = || CacheHierarchy::counting_only(line_bytes);
+    run_fresh(exe, hier, FAST_COUNT, |cpu, mem, hier| {
+        run_full_hooked(
+            &exe.program,
+            decoded,
+            engine,
+            cpu,
+            mem,
+            hier,
+            limits,
+            &mut NoopHook,
+        )
     })
 }
 
-/// Loads and runs at most `budget` instructions of `exe` on a fresh
-/// instruction-accurate instance, stopping cleanly when the budget is
-/// reached. Returns the prefix outcome and whether the program ran to
-/// completion — the primitive a sampled backend extrapolates from.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn simulate_prefix(
-    exe: &Executable,
-    hierarchy: &HierarchyConfig,
-    limits: RunLimits,
-    budget: u64,
-) -> Result<(SimOutcome, bool), SimError> {
-    let decoded = exe.decode()?;
-    simulate_prefix_decoded(exe, &decoded, hierarchy, limits, budget)
-}
-
-/// [`simulate_prefix`] over a pre-decoded program; see
-/// [`simulate_decoded`] for the contract on `decoded`.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn simulate_prefix_decoded(
-    exe: &Executable,
-    decoded: &DecodedProgram,
-    hierarchy: &HierarchyConfig,
-    limits: RunLimits,
-    budget: u64,
-) -> Result<(SimOutcome, bool), SimError> {
-    simulate_prefix_decoded_on(exe, decoded, hierarchy, limits, budget, EngineKind::Decoded)
-}
-
-/// [`simulate_prefix_decoded`] on an explicit replay engine; see
-/// [`simulate_decoded_on`] for the engine contract.
+/// Runs at most `budget` instructions of `exe` on a fresh
+/// instruction-accurate instance with the selected replay engine,
+/// stopping cleanly when the budget is reached. Returns the prefix
+/// outcome and whether the program ran to completion — the primitive a
+/// sampled backend extrapolates from. See [`simulate_decoded`] for the
+/// contract on `decoded` and [`simulate_decoded_on`] for the engine
+/// contract.
 ///
 /// # Errors
 ///
@@ -386,32 +275,31 @@ pub fn simulate_prefix_decoded_on(
     budget: u64,
     engine: EngineKind,
 ) -> Result<(SimOutcome, bool), SimError> {
-    let mut mem = Memory::new();
-    for (base, values) in &exe.data_segments {
-        mem.write_f32_slice(*base, values)?;
-    }
-    let mut hier = CacheHierarchy::new(hierarchy.clone());
-    let mut cpu = AtomicCpu::new(&exe.target);
-    let start = Instant::now();
-    let (mut stats, completed) = run_prefix(
-        &exe.program,
-        decoded,
-        engine,
-        &mut cpu,
-        &mut mem,
-        &mut hier,
-        limits,
-        budget,
-    )?;
-    stats.host_nanos = start.elapsed().as_nanos().max(1) as u64;
-    Ok((
-        SimOutcome {
-            stats,
-            memory: mem,
-            backend: ACCURATE.into(),
-        },
-        completed,
-    ))
+    let hier = || CacheHierarchy::new(hierarchy.clone());
+    let mut completed = false;
+    let out = run_fresh(exe, hier, ACCURATE, |cpu, mem, hier| {
+        let (stats, done) = match engine {
+            EngineKind::Interp => InterpEngine::new(&exe.program).run_prefix_with_hook(
+                cpu,
+                mem,
+                hier,
+                limits,
+                budget,
+                &mut NoopHook,
+            ),
+            EngineKind::Decoded => DecodedEngine::new(decoded).run_prefix_with_hook(
+                cpu,
+                mem,
+                hier,
+                limits,
+                budget,
+                &mut NoopHook,
+            ),
+        }?;
+        completed = done;
+        Ok(stats)
+    })?;
+    Ok((out, completed))
 }
 
 impl Executable {

@@ -21,11 +21,11 @@
 //! [`InterpEngine`] re-inspects the raw program each step (the reference
 //! oracle) and [`DecodedEngine`] replays the µop array (the production
 //! engine). Both share one semantic core, so their observable results
-//! are bit-identical; [`EngineKind`] names them for configuration. `simulate`, `simulate_counting` and
-//! `simulate_prefix` decode internally; their `*_decoded` variants
-//! accept a pre-decoded handle so batch drivers pay for decoding exactly
-//! once per executable, and the `*_decoded_on` variants additionally
-//! select the replay engine.
+//! are bit-identical; [`EngineKind`] names them for configuration.
+//! [`simulate`] decodes internally; the `*_decoded` entry points accept
+//! a pre-decoded handle so batch drivers pay for decoding exactly once
+//! per executable, and the `*_decoded_on` variants additionally select
+//! the replay engine (full, counting-only, hooked and prefix runs).
 //!
 //! The ISA itself is a register RISC machine with scalar integer/float
 //! operations, fused multiply-add, and fixed-width vector operations whose
@@ -83,10 +83,9 @@ pub use decode::{DecodedEngine, DecodedProgram, ExecEngine, InterpEngine, MicroO
 pub use engine::EngineKind;
 pub use error::{BuildProgramError, SimError};
 pub use exec::{
-    simulate, simulate_counting, simulate_counting_decoded, simulate_counting_decoded_on,
-    simulate_decoded, simulate_decoded_hooked_on, simulate_decoded_on, simulate_prefix,
-    simulate_prefix_decoded, simulate_prefix_decoded_on, Executable, SimOutcome, ACCURATE,
-    FAST_COUNT,
+    simulate, simulate_counting_decoded, simulate_counting_decoded_on, simulate_decoded,
+    simulate_decoded_hooked_on, simulate_decoded_on, simulate_prefix_decoded_on, Executable,
+    SimOutcome, ACCURATE, FAST_COUNT,
 };
 pub use inst::{Fpr, Gpr, Inst, Label, Vr, MAX_LANES};
 pub use memory::Memory;
