@@ -10,9 +10,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use simtune_core::{KernelBuilder, SimCache, SimSession};
 use simtune_hw::TargetSpec;
-use simtune_isa::{
-    AtomicCpu, DecodedEngine, DecodedProgram, ExecEngine, InterpEngine, Memory, NoopHook, RunLimits,
-};
+use simtune_isa::{AtomicCpu, DecodedProgram, EngineKind, Memory, NoopHook, RunLimits};
 use simtune_tensor::{matmul, Schedule};
 use std::sync::Arc;
 
@@ -27,32 +25,29 @@ fn decode_overhead(c: &mut Criterion) {
     let decoded = exe.decode().expect("decodes");
 
     let mut group = c.benchmark_group("decode_overhead");
-    group.bench_function("interp", |b| {
-        let engine = InterpEngine::new(&exe.program);
-        b.iter(|| {
-            let mut cpu = AtomicCpu::new(&exe.target);
-            let mut mem = Memory::new();
-            let mut hier = simtune_cache::CacheHierarchy::new(spec.hierarchy.clone());
-            black_box(
-                engine
-                    .run_with_hook(&mut cpu, &mut mem, &mut hier, limits, &mut NoopHook)
-                    .expect("runs"),
-            )
+    for engine in EngineKind::ALL {
+        group.bench_function(engine.label(), |b| {
+            b.iter(|| {
+                let mut cpu = AtomicCpu::new(&exe.target);
+                let mut mem = Memory::new();
+                let mut hier = simtune_cache::CacheHierarchy::new(spec.hierarchy.clone());
+                black_box(
+                    engine
+                        .run(
+                            &exe.program,
+                            &decoded,
+                            &mut cpu,
+                            &mut mem,
+                            &mut hier,
+                            limits,
+                            None,
+                            &mut NoopHook,
+                        )
+                        .expect("runs"),
+                )
+            });
         });
-    });
-    group.bench_function("decoded", |b| {
-        let engine = DecodedEngine::new(&decoded);
-        b.iter(|| {
-            let mut cpu = AtomicCpu::new(&exe.target);
-            let mut mem = Memory::new();
-            let mut hier = simtune_cache::CacheHierarchy::new(spec.hierarchy.clone());
-            black_box(
-                engine
-                    .run_with_hook(&mut cpu, &mut mem, &mut hier, limits, &mut NoopHook)
-                    .expect("runs"),
-            )
-        });
-    });
+    }
     group.bench_function("decode_once", |b| {
         b.iter(|| black_box(DecodedProgram::decode(&exe.program, &exe.target).expect("decodes")));
     });

@@ -93,6 +93,12 @@ fn split(data: &GroupData, train: usize) -> (GroupData, GroupData) {
 }
 
 fn main() {
+    // The experiment is fixed; any argument is a mistake, not a knob.
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("predictor_smoke takes no arguments, got {arg:?}");
+        eprintln!("usage: predictor_smoke");
+        std::process::exit(2);
+    }
     let arch = "riscv";
     let seed = 42u64;
     let n_trials = 48usize;

@@ -52,12 +52,18 @@ fn parse_opts() -> Opts {
         match arg.as_str() {
             "--parallel" => match value("--parallel").parse() {
                 Ok(n) if n >= 1 => opts.parallel = Some(n),
-                _ => usage(),
+                _ => {
+                    eprintln!("--parallel needs an integer >= 1");
+                    usage()
+                }
             },
             "--cache" => opts.cache = Some(PathBuf::from(value("--cache"))),
             "--socket" => opts.socket = Some(PathBuf::from(value("--socket"))),
             "--help" | "-h" => usage(),
-            _ => usage(),
+            _ => {
+                eprintln!("unknown argument {arg:?}");
+                usage()
+            }
         }
     }
     opts

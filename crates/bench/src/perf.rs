@@ -59,13 +59,14 @@ pub struct StrategyPerf {
     /// escalated candidates (0 = identical ranking, 1 = full reversal).
     /// `null` unless the run used `--fidelity predicted`.
     pub mean_abs_rank_error: Option<f64>,
-    /// Host nanoseconds the backends reported spending inside simulator
-    /// replay for this strategy's scored trials
-    /// (`TuneResult::replay_nanos`) — pure replay time, excluding
-    /// propose/build/score and pool scheduling.
+    /// Host nanoseconds this process spent inside simulator replay for
+    /// this strategy (`TuneResult::replay_nanos`): only trials a pool
+    /// worker executed count, memo hits add nothing — pure replay time,
+    /// excluding propose/build/score and pool scheduling.
     pub replay_nanos: u64,
     /// `trials / (replay_nanos / 1e9)` — replay-only throughput, the
-    /// number the engine ladder moves; `0` when nothing replayed.
+    /// number the engine ladder moves; `0` when nothing replayed. The
+    /// numerator counts every trial, memo-served ones included.
     pub replay_trials_per_sec: f64,
 }
 

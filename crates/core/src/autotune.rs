@@ -9,7 +9,7 @@
 //! [`RandomSearch`](crate::RandomSearch) reproduces the historical
 //! random-sampling tuner bit-for-bit.
 
-use crate::backend::{SimBackend, SimSession, SimSessionBuilder};
+use crate::backend::{SimBackend, SimReport, SimSession, SimSessionBuilder};
 use crate::features::{WindowKind, WindowNormalizer};
 use crate::fidelity::FidelitySpec;
 use crate::memo::SimCache;
@@ -113,12 +113,13 @@ pub struct TuneResult {
     /// [`EscalationPolicy::Uncertainty`] tier; `None` for every other
     /// flow.
     pub predictor: Option<PredictorStats>,
-    /// Host nanoseconds the backends reported spending inside simulator
-    /// replay for this run's scored candidates (Σ
-    /// [`simtune_isa::SimStats::host_nanos`] over successful reports;
-    /// memo hits contribute the stored value). The denominator for the
-    /// per-engine replay-throughput counters in the perf harness; `0`
-    /// for [`tune_on_hardware`], which never replays.
+    /// Host nanoseconds this process spent inside simulator replay for
+    /// this run: Σ [`simtune_isa::SimStats::host_nanos`] over the
+    /// successful trials a pool worker executed. Memo hits and in-flight
+    /// followers return a stored report and add nothing, so a fully
+    /// memoized rerun reports `0`. The denominator for the per-engine
+    /// replay-throughput counters in the perf harness; `0` for
+    /// [`tune_on_hardware`], which never replays.
     pub replay_nanos: u64,
 }
 
@@ -195,6 +196,18 @@ fn timed<T>(nanos: &mut u64, f: impl FnOnce() -> T) -> T {
     let out = f();
     *nanos += t0.elapsed().as_nanos() as u64;
     out
+}
+
+/// Runs `exes` on `session` in order, adding the host time of the
+/// trials it executed (not memo hits or followers) to `replay_nanos`.
+fn run_counted(
+    session: &SimSession,
+    exes: &[Executable],
+    replay_nanos: &mut u64,
+) -> Vec<Result<SimReport, CoreError>> {
+    let (reports, executed_nanos) = session.submit(exes.to_vec()).wait_counted();
+    *replay_nanos += executed_nanos;
+    reports
 }
 
 /// Counters an evaluator adds to.
@@ -277,16 +290,16 @@ impl Evaluator for Simulate<'_> {
     }
 
     fn scores(&mut self, ticket: BatchTicket, ledger: &mut Ledger) -> Result<Vec<f64>, CoreError> {
-        let reports = timed(&mut ledger.timings.sim_nanos, || ticket.wait());
+        let (reports, executed_nanos) =
+            timed(&mut ledger.timings.sim_nanos, || ticket.wait_counted());
+        ledger.replay_nanos += executed_nanos;
         timed(&mut ledger.timings.score_nanos, || {
             reports
                 .into_iter()
                 .map(|r| match r {
-                    Ok(report) => {
-                        ledger.replay_nanos += report.stats.host_nanos;
-                        self.predictor
-                            .score_streaming(&report.stats, &mut self.normalizer)
-                    }
+                    Ok(report) => self
+                        .predictor
+                        .score_streaming(&report.stats, &mut self.normalizer),
                     Err(_) => Ok(f64::INFINITY),
                 })
                 .collect()
@@ -689,15 +702,14 @@ pub fn tune_with_fidelity_escalation(
     let final_name = accurate.backend_name().to_string();
     let accurate_runs = finalist_exes.len();
     let reports = timed(&mut result.timings.sim_nanos, || {
-        accurate.run_stats(&finalist_exes)
+        run_counted(&accurate, &finalist_exes, &mut result.replay_nanos)
     });
 
     let (survivors, survivor_stats): (Vec<usize>, Vec<_>) = finalist_idx
         .into_iter()
         .zip(reports)
-        .filter_map(|(i, r)| Some((i, r.ok()?)))
+        .filter_map(|(i, r)| Some((i, r.ok()?.stats)))
         .unzip();
-    result.replay_nanos += survivor_stats.iter().map(|s| s.host_nanos).sum::<u64>();
     if survivors.is_empty() {
         return Err(CoreError::Pipeline(
             "no finalist survived accurate re-simulation".into(),
@@ -792,7 +804,9 @@ fn tune_with_uncertainty_escalation(
     let sweep = |first: usize, batch: Vec<Option<Executable>>, ledger: &mut Ledger| {
         let exes: Vec<Executable> = batch.into_iter().flatten().collect();
         explore_runs += exes.len();
-        let reports = timed(&mut ledger.timings.sim_nanos, || cheap.run(&exes));
+        let reports = timed(&mut ledger.timings.sim_nanos, || {
+            run_counted(&cheap, &exes, &mut ledger.replay_nanos)
+        });
 
         // Decision pass, two phases. Phase 1 — strictly in submission
         // order (the normalizer streams and the model must see
@@ -814,7 +828,6 @@ fn tune_with_uncertainty_escalation(
                 predictions.push(None);
                 continue;
             };
-            ledger.replay_nanos += report.stats.host_nanos;
             let raw = crate::features::raw_sample(&report.stats, fc);
             feat_norm.feed(&raw);
             let feats = feat_norm.features(&raw, fc);
@@ -872,17 +885,16 @@ fn tune_with_uncertainty_escalation(
         accurate_runs += esc_exes.len();
         stats.escalations += esc_exes.len() as u64;
         let acc_reports = timed(&mut ledger.timings.sim_nanos, || {
-            accurate.run_stats(&esc_exes)
+            run_counted(&accurate, &esc_exes, &mut ledger.replay_nanos)
         });
         let t0 = Instant::now();
         for (&i, r) in esc_idx.iter().zip(acc_reports) {
             // Built candidates lead their batch in the history.
             escalated.push(first + i);
-            let Ok(s) = r else {
+            let Ok(report) = r else {
                 continue; // scores[i] stays the INFINITY penalty
             };
-            ledger.replay_nanos += s.host_nanos;
-            let score = predictor.score_streaming(&s, &mut acc_norm)?;
+            let score = predictor.score_streaming(&report.stats, &mut acc_norm)?;
             if let Some(p) = &predictions[i] {
                 pred_pairs.push((p.mean, score));
             }
@@ -935,16 +947,16 @@ fn tune_with_uncertainty_escalation(
         accurate_runs += 1;
         stats.escalations += 1;
         let report = timed(&mut result.timings.sim_nanos, || {
-            accurate
-                .run_stats(std::slice::from_ref(&exe))
-                .pop()
-                .expect("one report per executable")
+            run_counted(
+                &accurate,
+                std::slice::from_ref(&exe),
+                &mut result.replay_nanos,
+            )
+            .pop()
+            .expect("one report per executable")
         });
         history[best].score = match report {
-            Ok(s) => {
-                result.replay_nanos += s.host_nanos;
-                predictor.score_streaming(&s, &mut acc_norm)?
-            }
+            Ok(report) => predictor.score_streaming(&report.stats, &mut acc_norm)?,
             Err(_) => f64::INFINITY,
         };
     }

@@ -60,9 +60,8 @@ use crate::{
 use simtune_cache::{CacheHierarchy, HierarchyConfig};
 use simtune_isa::{
     simulate_counting_decoded_on, simulate_prefix_decoded_on, torture_program_with, AtomicCpu,
-    DecodedEngine, DecodedProgram, EngineKind, ExecEngine, Executable, Fpr, Gpr, InterpEngine,
-    Memory, NoopHook, Program, RunLimits, SimError, SimStats, TargetIsa, TortureConfig, Vr,
-    DATA_BASE, TORTURE_WINDOW,
+    DecodedProgram, EngineKind, Executable, Fpr, Gpr, Memory, NoopHook, Program, RunLimits,
+    SimError, SimStats, TargetIsa, TortureConfig, Vr, DATA_BASE, TORTURE_WINDOW,
 };
 
 /// One observed disagreement between a combination under test and its
@@ -538,22 +537,16 @@ impl DiffHarness {
             })?;
         }
         let mut hier = CacheHierarchy::new(self.hierarchy.clone());
-        let stats = match engine {
-            EngineKind::Interp => InterpEngine::new(&exe.program).run_with_hook(
-                &mut cpu,
-                &mut mem,
-                &mut hier,
-                self.limits,
-                &mut NoopHook,
-            )?,
-            EngineKind::Decoded => DecodedEngine::new(decoded).run_with_hook(
-                &mut cpu,
-                &mut mem,
-                &mut hier,
-                self.limits,
-                &mut NoopHook,
-            )?,
-        };
+        let (stats, _) = engine.run(
+            &exe.program,
+            decoded,
+            &mut cpu,
+            &mut mem,
+            &mut hier,
+            self.limits,
+            None,
+            &mut NoopHook,
+        )?;
         Ok(capture(stats, &cpu, &mem))
     }
 }

@@ -61,7 +61,7 @@ use simtune_isa::{EngineKind, Executable, RunLimits};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{LockResult, Mutex, MutexGuard};
 
 /// Locks a shard even when a previous holder panicked: the guarded map
@@ -91,22 +91,10 @@ const DEFAULT_SHARDS: usize = 16;
 /// duplicates of an executing fingerprint into followers of that
 /// execution, so within one session a fingerprint simulates at most
 /// once and the hit/miss counters are deterministic at every
-/// `n_parallel` (for unbounded caches; see `crates/core/src/pool.rs`).
+/// `n_parallel` (see `crates/core/src/pool.rs`).
 ///
-/// # Capacity and eviction
-///
-/// [`SimCache::new`] is unbounded: nothing is ever evicted, which is
-/// right for tuning sessions whose candidate streams are bounded by
-/// `n_trials`. Long-lived services should use [`SimCache::bounded`],
-/// whose eviction contract is *epoch-based*: the cache holds at most
-/// `max_entries` reports at any moment, and when an insert of a **new**
-/// fingerprint arrives while the current generation is full, the whole
-/// map (every shard) is flushed first and the next generation starts
-/// cold (re-inserting an already-resident fingerprint never flushes).
-/// Hit/miss counters survive flushes. Epoch eviction is deliberately
-/// crude — O(1) amortized, no recency bookkeeping on the hot path — and
-/// works because autotuning traffic is phase-local: the candidates worth
-/// keeping re-enter within one batch after a flush.
+/// Nothing is ever evicted, which is right for tuning sessions whose
+/// candidate streams are bounded by `n_trials`.
 ///
 /// # Example
 ///
@@ -146,10 +134,6 @@ pub struct SimCache {
     shards: Box<[Shard]>,
     /// `shards.len() - 1`; the shard count is a power of two.
     mask: usize,
-    max_entries: Option<usize>,
-    /// Resident entries across all shards, maintained on insert/flush
-    /// so the bounded-capacity check never locks every stripe.
-    resident: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Snapshot persistence counters (see `crate::snapshot`).
@@ -177,12 +161,12 @@ impl fmt::Debug for SimCache {
 }
 
 impl SimCache {
-    /// Creates an empty, unbounded cache with the default shard count.
+    /// Creates an empty cache with the default shard count.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty, unbounded cache striped over `shards` locks
+    /// Creates an empty cache striped over `shards` locks
     /// (rounded up to a power of two, at least 1). `with_shards(1)` is
     /// the historical single-lock cache; higher counts only change
     /// contention, never observable behavior.
@@ -196,76 +180,11 @@ impl SimCache {
         SimCache {
             shards: (0..count).map(|_| Mutex::new(HashMap::new())).collect(),
             mask: count - 1,
-            max_entries: None,
-            resident: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             snap_loaded: AtomicU64::new(0),
             snap_rejected: AtomicU64::new(0),
             snap_saved: AtomicU64::new(0),
-        }
-    }
-
-    /// Creates a cache that never holds more than `max_entries` reports,
-    /// with epoch eviction: inserting a **new** fingerprint into a full
-    /// generation flushes the entire map first, and the next generation
-    /// starts cold. Re-inserting a resident fingerprint never flushes,
-    /// and the hit/miss counters survive flushes. See the
-    /// [capacity and eviction](SimCache#capacity-and-eviction) contract.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use simtune_cache::HierarchyConfig;
-    /// use simtune_core::{SimCache, SimSession};
-    /// use simtune_isa::{Executable, Gpr, Inst, ProgramBuilder, TargetIsa};
-    /// use std::sync::Arc;
-    ///
-    /// # fn main() -> Result<(), simtune_core::CoreError> {
-    /// let exe = |imm: i64| {
-    ///     let mut b = ProgramBuilder::new();
-    ///     b.push(Inst::Li { rd: Gpr(1), imm });
-    ///     b.push(Inst::Halt);
-    ///     Executable::new("e", b.build().unwrap(), TargetIsa::riscv_u74())
-    /// };
-    /// let cache = Arc::new(SimCache::bounded(2));
-    /// let session = SimSession::builder()
-    ///     .accurate(&HierarchyConfig::tiny_for_tests())
-    ///     .memo_cache(cache.clone())
-    ///     .build()?;
-    ///
-    /// // Two distinct simulations fill the generation...
-    /// session.run(&[exe(1), exe(2)]);
-    /// assert_eq!(cache.len(), 2);
-    /// // ...a third flushes it: only the newest report stays resident...
-    /// session.run(&[exe(3)]);
-    /// assert_eq!(cache.len(), 1);
-    /// // ...so revisiting an evicted candidate misses and re-executes.
-    /// let misses_before = cache.stats().misses;
-    /// session.run(&[exe(1)]);
-    /// assert_eq!(cache.stats().misses, misses_before + 1);
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics when `max_entries` is zero.
-    pub fn bounded(max_entries: usize) -> Self {
-        Self::bounded_with_shards(max_entries, DEFAULT_SHARDS)
-    }
-
-    /// [`SimCache::bounded`] with an explicit shard count (see
-    /// [`SimCache::with_shards`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `max_entries` or `shards` is zero.
-    pub fn bounded_with_shards(max_entries: usize, shards: usize) -> Self {
-        assert!(max_entries > 0, "a zero-capacity memo cache is useless");
-        SimCache {
-            max_entries: Some(max_entries),
-            ..Self::with_shards(shards)
         }
     }
 
@@ -303,11 +222,6 @@ impl SimCache {
         self.len() == 0
     }
 
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        self.flush_all();
-    }
-
     fn shard(&self, key: &[u8]) -> &Shard {
         // FNV-1a over the fingerprint bytes; the fingerprint already
         // contains every distinguishing byte, so any mixing hash
@@ -318,17 +232,6 @@ impl SimCache {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         &self.shards[(h as usize) & self.mask]
-    }
-
-    /// Locks every shard in index order (the one consistent order, so
-    /// two concurrent flushes cannot deadlock) and clears them all.
-    fn flush_all(&self) {
-        let mut guards: Vec<MutexGuard<'_, _>> =
-            self.shards.iter().map(|s| relock(s.lock())).collect();
-        for guard in &mut guards {
-            guard.clear();
-        }
-        self.resident.store(0, Ordering::Relaxed);
     }
 
     /// Clones every resident entry, shard by shard — the snapshot
@@ -368,56 +271,9 @@ impl SimCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Atomically claims one resident slot, failing when a bounded
-    /// cache is at capacity. The claim happens while the caller holds a
-    /// shard lock, and `flush_all` holds *every* shard lock while it
-    /// zeroes the counter — so a successful reservation cannot
-    /// interleave with a flush, and concurrent inserters on different
-    /// stripes can never overshoot `max_entries` together.
-    fn try_reserve_slot(&self) -> bool {
-        match self.max_entries {
-            None => {
-                self.resident.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Some(cap) => self
-                .resident
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                    (n < cap).then_some(n + 1)
-                })
-                .is_ok(),
-        }
-    }
-
-    /// Stores a report under a fingerprint, flushing the generation
-    /// first when a bounded cache is full.
-    pub fn insert(&self, mut key: Vec<u8>, report: SimReport) {
-        use std::collections::hash_map::Entry;
-        loop {
-            key = {
-                let mut map = relock(self.shard(&key).lock());
-                match map.entry(key) {
-                    Entry::Occupied(mut resident) => {
-                        // Re-inserting a resident fingerprint never
-                        // flushes.
-                        resident.insert(report);
-                        return;
-                    }
-                    Entry::Vacant(slot) => {
-                        if self.try_reserve_slot() {
-                            slot.insert(report);
-                            return;
-                        }
-                        slot.into_key()
-                    }
-                }
-            };
-            // Full generation: release the stripe (flush_all locks
-            // every shard in index order), flush, and retry — the next
-            // iteration re-reserves against the empty generation (or
-            // flushes again in the unlikely event racers refilled it).
-            self.flush_all();
-        }
+    /// Stores a report under a fingerprint, replacing any earlier one.
+    pub fn insert(&self, key: Vec<u8>, report: SimReport) {
+        relock(self.shard(&key).lock()).insert(key, report);
     }
 }
 
@@ -554,34 +410,6 @@ mod tests {
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(s.lookups(), 2);
         assert!((s.hit_ratio() - 0.5).abs() < 1e-12);
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn bounded_cache_flushes_full_generations() {
-        let cache = SimCache::bounded(2);
-        let report = SimReport {
-            stats: SimStats::default(),
-            backend: "accurate".into(),
-            fidelity: Fidelity::Accurate,
-            extrapolated: false,
-            cycles: None,
-        };
-        let keys: Vec<Vec<u8>> = (0..3u8)
-            .map(|i| key_of(&exe("e", i as i64, vec![])))
-            .collect();
-        cache.insert(keys[0].clone(), report.clone());
-        cache.insert(keys[1].clone(), report.clone());
-        assert_eq!(cache.len(), 2);
-        // Re-inserting a resident key does not flush.
-        cache.insert(keys[1].clone(), report.clone());
-        assert_eq!(cache.len(), 2);
-        // A new key at capacity flushes the generation first.
-        cache.insert(keys[2].clone(), report.clone());
-        assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(&keys[2]).is_some());
-        assert!(cache.lookup(&keys[0]).is_none());
     }
 
     #[test]
@@ -589,7 +417,6 @@ mod tests {
         assert_eq!(SimCache::with_shards(1).shard_count(), 1);
         assert_eq!(SimCache::with_shards(3).shard_count(), 4);
         assert_eq!(SimCache::new().shard_count(), DEFAULT_SHARDS);
-        assert_eq!(SimCache::bounded_with_shards(10, 5).shard_count(), 8);
     }
 
     #[test]
@@ -616,12 +443,6 @@ mod tests {
         }
         assert_eq!(single.len(), sharded.len());
         assert_eq!(single.stats(), sharded.stats());
-    }
-
-    #[test]
-    #[should_panic(expected = "zero-capacity")]
-    fn zero_capacity_is_rejected() {
-        let _ = SimCache::bounded(0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! [`crate::AccurateBackend`] on the fidelity ladder: it runs the same
 //! functional replay as the reference (architectural statistics are
 //! bit-identical by construction), but hooks a 5-stage in-order timing
-//! model into the µop stream via
-//! [`simtune_isa::TimingBridge`] — RAW/load-use stalls, branch
+//! model into the run as its [`simtune_isa::ExecHook`], which reduces
+//! each retirement to a [`simtune_isa::UopEvent`] — RAW/load-use stalls, branch
 //! misprediction flushes against a BTB+RAS predictor, and a stride
 //! prefetcher filling the shared cache hierarchy. The extra signal
 //! lands in [`SimReport::cycles`] as a [`CycleBreakdown`].
@@ -24,9 +24,7 @@
 use crate::backend::{hierarchy_digest, BackendError, Fidelity, SimBackend, SimReport};
 use simtune_cache::HierarchyConfig;
 use simtune_hw::{CycleBreakdown, PipelineModel, TargetSpec};
-use simtune_isa::{
-    simulate_decoded_hooked_on, DecodedProgram, EngineKind, Executable, RunLimits, TimingBridge,
-};
+use simtune_isa::{simulate_decoded_hooked_on, DecodedProgram, EngineKind, Executable, RunLimits};
 
 /// Canonical name of the pipelined timing flavor.
 pub const PIPELINED: &str = "pipelined";
@@ -85,15 +83,8 @@ impl PipelinedBackend {
     ) -> Result<(simtune_isa::SimStats, CycleBreakdown), BackendError> {
         let spec = self.timing_spec(exe);
         let mut model = PipelineModel::new(&spec, self.btb_entries, self.ras_depth);
-        let mut bridge = TimingBridge::new(&mut model);
-        let out = simulate_decoded_hooked_on(
-            exe,
-            decoded,
-            &self.hierarchy,
-            *limits,
-            engine,
-            &mut bridge,
-        )?;
+        let out =
+            simulate_decoded_hooked_on(exe, decoded, &self.hierarchy, *limits, engine, &mut model)?;
         Ok((out.stats, model.breakdown()))
     }
 

@@ -27,13 +27,11 @@
 //! worker sees it, and a candidate whose fingerprint is already
 //! executing in-flight becomes a *follower* of that leader instead of
 //! a duplicate execution. Because the hit/miss decision is made by the
-//! deterministic, single-threaded submitter, an unbounded
-//! [`SimCache`]'s hit/miss counters are bit-identical at every
-//! `n_parallel` — the property `crates/core/tests/pool_determinism.rs`
-//! locks in. (A *bounded* cache may flush a generation while a batch is
-//! in flight, and a *failed* leader is deliberately not memoized, so in
-//! those two corner cases the counters — never the results — can vary
-//! with timing.)
+//! deterministic, single-threaded submitter, a [`SimCache`]'s hit/miss
+//! counters are bit-identical at every `n_parallel` — the property
+//! `crates/core/tests/pool_determinism.rs` locks in. (A *failed* leader
+//! is deliberately not memoized, so in that corner case the counters —
+//! never the results — can vary with timing.)
 
 use crate::backend::{SimBackend, SimReport};
 use crate::memo::{fingerprint, SimCache};
@@ -347,6 +345,14 @@ impl BatchTicket {
     /// Blocks until the batch completed; returns one result per
     /// submitted executable, in submission order.
     pub fn wait(self) -> Vec<Result<SimReport, CoreError>> {
+        self.wait_counted().0
+    }
+
+    /// [`BatchTicket::wait`], plus the simulator host time this batch
+    /// executed in this process: Σ `host_nanos` over the successful
+    /// trials a worker ran. Memo hits and in-flight followers return a
+    /// stored report, so they add nothing.
+    pub(crate) fn wait_counted(self) -> (Vec<Result<SimReport, CoreError>>, u64) {
         {
             let mut remaining = relock(self.batch.remaining.lock());
             while *remaining > 0 {
@@ -354,6 +360,15 @@ impl BatchTicket {
             }
         }
         let mut results = std::mem::take(&mut *relock(self.batch.results.lock()));
+        let executed_nanos = self
+            .batch
+            .tasks
+            .iter()
+            .filter_map(|&i| match &results[i] {
+                Some(Ok(report)) => Some(report.stats.host_nanos),
+                _ => None,
+            })
+            .sum();
         // Followers resolve on the consumer thread: their leader may
         // live in an earlier batch, but leaders are always enqueued no
         // later than their followers, so the cell is (or will be)
@@ -364,10 +379,11 @@ impl BatchTicket {
                 results[i] = Some(cell.wait());
             }
         }
-        results
+        let results = results
             .into_iter()
             .map(|r| r.expect("every slot filled"))
-            .collect()
+            .collect();
+        (results, executed_nanos)
     }
 }
 

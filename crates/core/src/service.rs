@@ -43,7 +43,7 @@ use crate::autotune::{
     tune_with_fidelity_escalation, tune_with_predictor_on, EscalatedTuneResult, EscalationOptions,
     TuneOptions, TuneResult,
 };
-use crate::backend::{SimBackend, SimSession};
+use crate::backend::SimSession;
 use crate::memo::SimCache;
 use crate::metrics::{MemoCacheStats, TenantStats, WorkerPoolStats};
 use crate::pool::{TenantCounters, WorkerPool};
@@ -89,7 +89,7 @@ struct TenantRegistry {
 ///
 /// ```
 /// use simtune_cache::HierarchyConfig;
-/// use simtune_core::SimService;
+/// use simtune_core::{FidelitySpec, SimService};
 /// use simtune_isa::{Executable, Gpr, Inst, ProgramBuilder, TargetIsa};
 ///
 /// # fn main() -> Result<(), simtune_core::CoreError> {
@@ -101,8 +101,8 @@ struct TenantRegistry {
 /// };
 /// let hier = HierarchyConfig::tiny_for_tests();
 /// let service = SimService::builder().n_parallel(2).build();
-/// let alice = service.open_accurate("alice", &hier)?;
-/// let bob = service.open_accurate("bob", &hier)?;
+/// let alice = service.open_fidelity("alice", &FidelitySpec::Accurate, &hier)?;
+/// let bob = service.open_fidelity("bob", &FidelitySpec::Accurate, &hier)?;
 /// alice.session().run(&[exe(1), exe(2)]);
 /// bob.session().run(&[exe(1)]); // alice already simulated this one
 /// assert_eq!(alice.stats().memo.misses, 2);
@@ -149,8 +149,8 @@ impl SimServiceBuilder {
         self
     }
 
-    /// Uses an existing cache (e.g. a bounded one) instead of the
-    /// default unbounded [`SimCache::new`].
+    /// Uses an existing cache (e.g. one warmed by another service)
+    /// instead of a fresh [`SimCache::new`].
     pub fn cache(mut self, cache: Arc<SimCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -190,19 +190,24 @@ impl SimService {
         SimServiceBuilder::default()
     }
 
-    /// Opens a named tenant on an explicit backend. The tenant's
+    /// Opens a named tenant on the tier a
+    /// [`FidelitySpec`](crate::FidelitySpec) names — the entry point the
+    /// serve protocol's `fidelity` field routes through. The tenant's
     /// session shares the service's pool (on a fresh scheduling lane)
     /// and memo cache; the name is released when the returned
     /// [`TenantSession`] is dropped.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Pipeline`] when the name is already open.
-    pub fn open_tenant(
+    /// Returns [`CoreError::Pipeline`] when the name is already open or
+    /// the spec's parameters are rejected by the tier.
+    pub fn open_fidelity(
         &self,
         name: &str,
-        backend: Arc<dyn SimBackend>,
+        spec: &crate::FidelitySpec,
+        hierarchy: &HierarchyConfig,
     ) -> Result<TenantSession, CoreError> {
+        let backend = spec.build(hierarchy)?;
         let counters = Arc::new(TenantCounters::default());
         let lane = {
             let mut reg = self
@@ -232,37 +237,6 @@ impl SimService {
             session,
             counters,
         })
-    }
-
-    /// [`SimService::open_tenant`] on the instruction-accurate backend
-    /// for `hierarchy` — the fidelity tuning loops submit at.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Pipeline`] when the name is already open.
-    pub fn open_accurate(
-        &self,
-        name: &str,
-        hierarchy: &HierarchyConfig,
-    ) -> Result<TenantSession, CoreError> {
-        self.open_fidelity(name, &crate::FidelitySpec::Accurate, hierarchy)
-    }
-
-    /// [`SimService::open_tenant`] on the tier a
-    /// [`FidelitySpec`](crate::FidelitySpec) names — the uniform entry
-    /// point the serve protocol's `fidelity` field routes through.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Pipeline`] when the name is already open or
-    /// the spec's parameters are rejected by the tier.
-    pub fn open_fidelity(
-        &self,
-        name: &str,
-        spec: &crate::FidelitySpec,
-        hierarchy: &HierarchyConfig,
-    ) -> Result<TenantSession, CoreError> {
-        self.open_tenant(name, spec.build(hierarchy)?)
     }
 
     /// Number of currently open tenants.
@@ -459,6 +433,7 @@ impl Drop for TenantSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FidelitySpec;
     use simtune_isa::{Executable, Gpr, Inst, ProgramBuilder, TargetIsa};
 
     fn exe(imm: i64) -> Executable {
@@ -471,23 +446,27 @@ mod tests {
     #[test]
     fn duplicate_tenant_names_are_rejected_until_dropped() {
         let service = SimService::builder().n_parallel(1).build();
-        let first = service.open_accurate("ci", &HierarchyConfig::tiny_for_tests());
+        let hier = HierarchyConfig::tiny_for_tests();
+        let open = || service.open_fidelity("ci", &FidelitySpec::Accurate, &hier);
+        let first = open();
         assert!(first.is_ok());
-        let dup = service.open_accurate("ci", &HierarchyConfig::tiny_for_tests());
+        let dup = open();
         assert!(matches!(dup, Err(CoreError::Pipeline(_))));
         drop(first);
         assert_eq!(service.tenant_count(), 0);
-        assert!(service
-            .open_accurate("ci", &HierarchyConfig::tiny_for_tests())
-            .is_ok());
+        assert!(open().is_ok());
     }
 
     #[test]
     fn tenants_share_the_cache_but_count_their_own_traffic() {
         let service = SimService::builder().n_parallel(2).build();
         let hier = HierarchyConfig::tiny_for_tests();
-        let a = service.open_accurate("a", &hier).unwrap();
-        let b = service.open_accurate("b", &hier).unwrap();
+        let a = service
+            .open_fidelity("a", &FidelitySpec::Accurate, &hier)
+            .unwrap();
+        let b = service
+            .open_fidelity("b", &FidelitySpec::Accurate, &hier)
+            .unwrap();
         for r in a.session().run(&[exe(1), exe(2), exe(3)]) {
             r.unwrap();
         }
@@ -519,7 +498,9 @@ mod tests {
             std::env::temp_dir().join(format!("simtune_service_snap_{}.json", std::process::id()));
         let hier = HierarchyConfig::tiny_for_tests();
         let cold = SimService::builder().n_parallel(1).build();
-        let t = cold.open_accurate("writer", &hier).unwrap();
+        let t = cold
+            .open_fidelity("writer", &FidelitySpec::Accurate, &hier)
+            .unwrap();
         for r in t.session().run(&[exe(10), exe(11)]) {
             r.unwrap();
         }
@@ -527,7 +508,9 @@ mod tests {
 
         let warm = SimService::builder().n_parallel(1).build();
         assert_eq!(warm.load_snapshot(&path).unwrap(), SnapshotLoad::Loaded(2));
-        let t = warm.open_accurate("reader", &hier).unwrap();
+        let t = warm
+            .open_fidelity("reader", &FidelitySpec::Accurate, &hier)
+            .unwrap();
         for r in t.session().run(&[exe(10), exe(11)]) {
             r.unwrap();
         }

@@ -351,8 +351,7 @@ impl SimCache {
     }
 
     /// Restores entries from a snapshot written by [`SimCache::save_to`],
-    /// inserting them into this cache (a bounded cache applies its usual
-    /// epoch-eviction contract).
+    /// inserting them into this cache.
     ///
     /// Degrades instead of failing: a missing file returns
     /// [`SnapshotLoad::Missing`]; a corrupt, truncated or

@@ -11,12 +11,13 @@
 
 use simtune_core::{
     collect_group_data, tune_with_fidelity_escalation, CollectOptions, EscalatedTuneResult,
-    EscalationOptions, EscalationPolicy, ScorePredictor, StrategySpec, TuneOptions,
+    EscalationOptions, EscalationPolicy, ScorePredictor, SimCache, StrategySpec, TuneOptions,
     UncertaintyPolicy,
 };
 use simtune_hw::TargetSpec;
 use simtune_predict::PredictorKind;
 use simtune_tensor::{matmul, ComputeDef};
+use std::sync::Arc;
 
 fn workload() -> (ComputeDef, TargetSpec) {
     (matmul(8, 8, 8), TargetSpec::riscv_u74())
@@ -146,4 +147,32 @@ fn uncertainty_escalation_reruns_are_bit_identical() {
     let a = run(&def, &spec, &predictor, &esc, 4);
     let b = run(&def, &spec, &predictor, &esc, 4);
     assert_identical(&a, &b, "rerun at n_parallel=4");
+}
+
+#[test]
+fn warm_topk_rerun_replays_nothing() {
+    // Both top-k tiers are memoizable: on a warm cache the exploration
+    // pass and the finalists' accurate pass are all memo hits, which
+    // reproduce the cold result and add no replay time.
+    let (def, spec) = workload();
+    let predictor = trained_predictor(&def, &spec);
+    let opts = TuneOptions {
+        n_trials: 24,
+        batch_size: 8,
+        n_parallel: 2,
+        seed: 9,
+        strategy: StrategySpec::Evolutionary,
+        memo_cache: Some(Arc::new(SimCache::new())),
+        ..TuneOptions::default()
+    };
+    let esc = EscalationOptions::default();
+    let tune = || tune_with_fidelity_escalation(&def, &spec, &predictor, &opts, &esc);
+    let cold = tune().expect("tunes cold");
+    let warm = tune().expect("tunes warm");
+    assert_identical(&cold, &warm, "warm top-k rerun");
+    assert!(
+        cold.result.replay_nanos > 0,
+        "the cold run executes its trials"
+    );
+    assert_eq!(warm.result.replay_nanos, 0, "memo hits are not replay time");
 }

@@ -1,8 +1,7 @@
 //! Property test: the lock-striped `SimCache` is observably identical
 //! to the historical single-lock cache on every fingerprint and every
 //! operation sequence — sharding only changes contention, never
-//! behavior. Covers unbounded caches and the bounded epoch-eviction
-//! contract (a full generation flushes wholesale in both layouts).
+//! behavior.
 
 use proptest::prelude::*;
 use simtune_core::{Fidelity, SimCache, SimReport};
@@ -64,7 +63,7 @@ fn assert_equivalent(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Unbounded: single-lock and 8-way sharded caches agree on every
+    /// Single-lock and 8-way sharded caches agree on every
     /// fingerprint, every lookup result and every counter.
     #[test]
     fn sharded_cache_matches_single_lock(
@@ -76,37 +75,5 @@ proptest! {
         let single = SimCache::with_shards(1);
         let sharded = SimCache::with_shards(8);
         assert_equivalent(&single, &sharded, &ops)?;
-    }
-
-    /// Bounded: the epoch-eviction contract (insert of a new key into a
-    /// full generation flushes the whole map) is layout-independent,
-    /// because capacity is tracked globally, not per shard.
-    #[test]
-    fn bounded_sharded_cache_matches_single_lock(
-        idxs in prop::collection::vec(0u8..24, 1..120),
-        inserts in prop::collection::vec(any::<bool>(), 1..120),
-        markers in prop::collection::vec(0u64..1000, 1..120),
-        cap in 1usize..12,
-    ) {
-        let ops = zip_ops(&idxs, &inserts, &markers);
-        let single = SimCache::bounded_with_shards(cap, 1);
-        let sharded = SimCache::bounded_with_shards(cap, 8);
-        assert_equivalent(&single, &sharded, &ops)?;
-        prop_assert!(single.len() <= cap);
-    }
-
-    /// The resident set never exceeds the configured capacity, at any
-    /// shard count.
-    #[test]
-    fn bounded_cache_respects_capacity(
-        inserts in prop::collection::vec(0u8..40, 1..200),
-        cap in 1usize..10,
-        shards in 1usize..9,
-    ) {
-        let cache = SimCache::bounded_with_shards(cap, shards);
-        for (i, idx) in inserts.iter().enumerate() {
-            cache.insert(key(*idx), report(i as u64));
-            prop_assert!(cache.len() <= cap);
-        }
     }
 }

@@ -97,6 +97,38 @@ fn memoized_sweep_is_bit_identical_at_every_parallelism() {
 }
 
 #[test]
+fn warm_rerun_replays_nothing() {
+    // `replay_nanos` counts only trials a worker executed in this
+    // process: a rerun answered entirely by the memo reproduces the
+    // cold history and replays nothing.
+    let (def, spec, predictor) = workload();
+    let cache = Arc::new(SimCache::new());
+    let opts = TuneOptions {
+        n_trials: 24,
+        batch_size: 6,
+        n_parallel: 2,
+        seed: 17,
+        memo_cache: Some(cache.clone()),
+        ..TuneOptions::default()
+    };
+    let cold = tune_with_predictor(&def, &spec, &predictor, &opts).expect("tunes cold");
+    let misses = cache.stats().misses;
+    let warm = tune_with_predictor(&def, &spec, &predictor, &opts).expect("tunes warm");
+    assert_eq!(
+        digest(&cold),
+        digest(&warm),
+        "warm rerun changed the history"
+    );
+    assert!(cold.replay_nanos > 0, "the cold run executes its trials");
+    assert_eq!(warm.replay_nanos, 0, "memo hits are not replay time");
+    assert_eq!(
+        cache.stats().misses,
+        misses,
+        "the warm run executes nothing"
+    );
+}
+
+#[test]
 fn interp_sweep_is_bit_identical_to_decoded_at_every_parallelism() {
     // The replay engine is a pure host-speed knob: a sweep on the
     // reference interpreter must reproduce the decoded-engine sweep

@@ -9,8 +9,8 @@
 //!   simulations: every submission is answered by the memo.
 
 use simtune_core::{
-    collect_group_data, tune_with_predictor, CollectOptions, ScorePredictor, SimCache, SimService,
-    SnapshotLoad, TuneOptions, TuneResult,
+    collect_group_data, tune_with_predictor, CollectOptions, FidelitySpec, ScorePredictor,
+    SimCache, SimService, SnapshotLoad, TuneOptions, TuneResult,
 };
 use simtune_hw::TargetSpec;
 use simtune_predict::PredictorKind;
@@ -91,8 +91,12 @@ fn concurrent_tenants_reproduce_their_solo_results_at_every_pool_width() {
 
     for n_parallel in [1usize, 2, 4] {
         let service = SimService::builder().n_parallel(n_parallel).build();
-        let ta = service.open_accurate("alice", &hierarchy).expect("alice");
-        let tb = service.open_accurate("bob", &hierarchy).expect("bob");
+        let ta = service
+            .open_fidelity("alice", &FidelitySpec::Accurate, &hierarchy)
+            .expect("alice");
+        let tb = service
+            .open_fidelity("bob", &FidelitySpec::Accurate, &hierarchy)
+            .expect("bob");
 
         let (ra, rb) = std::thread::scope(|s| {
             let ja = s.spawn(|| {
@@ -150,7 +154,7 @@ fn warm_loaded_snapshot_reproduces_the_cold_tune_with_zero_executions() {
     // Cold: tune on a fresh service, snapshot the cache it filled.
     let cold_service = SimService::builder().n_parallel(2).build();
     let cold = cold_service
-        .open_accurate("cold", &w.spec.hierarchy)
+        .open_fidelity("cold", &FidelitySpec::Accurate, &w.spec.hierarchy)
         .expect("cold tenant");
     let cold_result = cold
         .tune(&w.def, &w.spec, &w.predictor, &w.opts)
@@ -167,7 +171,7 @@ fn warm_loaded_snapshot_reproduces_the_cold_tune_with_zero_executions() {
     );
     let warm_service = SimService::builder().n_parallel(2).cache(cache).build();
     let warm = warm_service
-        .open_accurate("warm", &w.spec.hierarchy)
+        .open_fidelity("warm", &FidelitySpec::Accurate, &w.spec.hierarchy)
         .expect("warm tenant");
     let warm_result = warm
         .tune(&w.def, &w.spec, &w.predictor, &w.opts)

@@ -1,6 +1,6 @@
 //! Property test: a `SimCache` snapshot is a lossless, layout-free
-//! round trip. Whatever mix of fidelities, shard counts and capacity
-//! bounds produced the cache, `save_to` → `load_from` must rebuild
+//! round trip. Whatever mix of fidelities and shard counts produced
+//! the cache, `save_to` → `load_from` must rebuild
 //! bit-identical `SimReport`s — and two equal caches must serialize to
 //! byte-identical files, so snapshots can be compared and deduplicated
 //! by content.
@@ -75,7 +75,7 @@ fn fill(cache: &SimCache, idxs: &[u8], markers: &[u64], selectors: &[u8]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Unbounded, across shard layouts: every surviving entry loads
+    /// Across shard layouts: every surviving entry loads
     /// back bit-identical, and re-saving the loaded cache reproduces
     /// the original file byte for byte.
     #[test]
@@ -110,34 +110,5 @@ proptest! {
         );
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&again).ok();
-    }
-
-    /// Bounded: a snapshot of a bounded cache restores its resident
-    /// set, and loading into a bounded cache never exceeds capacity.
-    #[test]
-    fn snapshot_roundtrips_bounded_caches(
-        idxs in prop::collection::vec(0u8..32, 1..80),
-        markers in prop::collection::vec(0u64..100_000, 1..80),
-        selectors in prop::collection::vec(any::<u8>(), 1..80),
-        cap in 1usize..16,
-        shards in 1usize..9,
-    ) {
-        let path = temp_snapshot();
-        let original = SimCache::bounded_with_shards(cap, shards);
-        fill(&original, &idxs, &markers, &selectors);
-        prop_assert!(original.len() <= cap);
-        let written = original.save_to(&path).expect("saves");
-        prop_assert_eq!(written, original.len());
-
-        // Restoring into an unbounded cache keeps every entry…
-        let unbounded = SimCache::new();
-        unbounded.load_from(&path).expect("reads");
-        prop_assert_eq!(unbounded.len(), written);
-
-        // …and restoring into an equally bounded cache obeys its cap.
-        let bounded = SimCache::bounded_with_shards(cap, 1);
-        bounded.load_from(&path).expect("reads");
-        prop_assert!(bounded.len() <= cap);
-        std::fs::remove_file(&path).ok();
     }
 }

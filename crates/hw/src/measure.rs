@@ -73,7 +73,7 @@ fn measure_base(
     let mut hier = simtune_cache::CacheHierarchy::new(spec.hierarchy.clone());
     let mut cpu = AtomicCpu::new(&spec.isa);
     let mut model = TimingModel::new(spec);
-    cpu.run_with_hook(&exe.program, &mut mem, &mut hier, limits, &mut model)?;
+    cpu.run(&exe.program, &mut mem, &mut hier, limits, &mut model)?;
     Ok(model)
 }
 

@@ -1,9 +1,10 @@
 use crate::{BranchPredictor, CycleBreakdown, StridePrefetcher, TargetSpec};
 use simtune_cache::{CacheHierarchy, ServicedBy};
-use simtune_isa::{MixClass, TimingHook, UopEvent, TIMING_REGS};
+use simtune_isa::{uop_event, ExecHook, Inst, MixClass, TIMING_REGS};
 
-/// A 5-stage in-order pipeline timing model (IF/ID/EX/MEM/WB) driven by
-/// the µop stream of a [`TimingHook`].
+/// A 5-stage in-order pipeline timing model (IF/ID/EX/MEM/WB): an
+/// [`ExecHook`] that reduces every retirement to its
+/// [`UopEvent`](simtune_isa::UopEvent).
 ///
 /// Where [`TimingModel`](crate::TimingModel) prices an aggregate
 /// instruction mix in floating point, `PipelineModel` advances an
@@ -154,13 +155,13 @@ impl PipelineModel {
     }
 }
 
-impl TimingHook for PipelineModel {
+impl ExecHook for PipelineModel {
     fn on_fetch(&mut self, pc: usize, serviced: ServicedBy) {
         self.cur_pc = pc;
         self.pending_fetch += self.fetch_stall[level_idx(serviced)];
     }
 
-    fn on_mem(
+    fn on_data_access(
         &mut self,
         line_addr: u64,
         is_store: bool,
@@ -182,7 +183,8 @@ impl TimingHook for PipelineModel {
         }
     }
 
-    fn on_uop(&mut self, uop: &UopEvent) {
+    fn on_retire(&mut self, inst: &Inst) {
+        let uop = uop_event(inst);
         // One issue slot per µop.
         self.clock += 1;
         self.retired += 1;
@@ -197,7 +199,7 @@ impl TimingHook for PipelineModel {
         }
         self.clock += wait;
         self.raw_stalls += wait;
-        // Data-side stall buffered by on_mem (MEM stage).
+        // Data-side stall buffered by on_data_access (MEM stage).
         self.clock += self.pending_mem;
         self.memory_stalls += self.pending_mem;
         self.pending_mem = 0;
@@ -218,17 +220,14 @@ impl TimingHook for PipelineModel {
 mod tests {
     use super::*;
     use simtune_cache::HierarchyConfig;
-    use simtune_isa::{
-        AtomicCpu, Fpr, Gpr, Inst, Memory, Program, ProgramBuilder, RunLimits, TimingBridge,
-    };
+    use simtune_isa::{AtomicCpu, Fpr, Gpr, Memory, Program, ProgramBuilder, RunLimits};
 
     fn run(spec: &TargetSpec, prog: &Program) -> PipelineModel {
         let mut cpu = AtomicCpu::new(&spec.isa);
         let mut mem = Memory::new();
         let mut hier = simtune_cache::CacheHierarchy::new(spec.hierarchy.clone());
         let mut model = PipelineModel::new(spec, 512, 8);
-        let mut bridge = TimingBridge::new(&mut model);
-        cpu.run_with_hook(prog, &mut mem, &mut hier, RunLimits::default(), &mut bridge)
+        cpu.run(prog, &mut mem, &mut hier, RunLimits::default(), &mut model)
             .unwrap();
         model
     }

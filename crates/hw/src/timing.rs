@@ -21,7 +21,7 @@ impl CycleBreakdown {
 }
 
 /// The timing-accurate execution observer: re-runs a program through
-/// [`simtune_isa::AtomicCpu::run_with_hook`] and prices every event.
+/// [`simtune_isa::AtomicCpu::run`] and prices every event.
 ///
 /// Unlike the instruction-accurate path, the timing model owns a stride
 /// prefetcher (which mutates its private cache hierarchy) and a branch
@@ -220,7 +220,7 @@ mod tests {
         let mut mem = Memory::new();
         let mut hier = simtune_cache::CacheHierarchy::new(spec.hierarchy.clone());
         let mut model = TimingModel::new(spec);
-        cpu.run_with_hook(prog, &mut mem, &mut hier, RunLimits::default(), &mut model)
+        cpu.run(prog, &mut mem, &mut hier, RunLimits::default(), &mut model)
             .unwrap();
         model
     }

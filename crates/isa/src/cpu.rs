@@ -1,7 +1,9 @@
 use crate::inst::MAX_LANES;
 use crate::program::{FPR_FILE, GPR_FILE, VR_FILE};
 use crate::CODE_BASE;
-use crate::{Fpr, Gpr, Inst, InstMix, Memory, Program, SimError, SimStats, TargetIsa, Vr};
+use crate::{
+    DecodedProgram, Fpr, Gpr, Inst, InstMix, Memory, Program, SimError, SimStats, TargetIsa, Vr,
+};
 use simtune_cache::{lines_touched, CacheHierarchy, ServicedBy};
 
 /// Execution budget for one simulation.
@@ -21,21 +23,20 @@ impl Default for RunLimits {
     }
 }
 
-/// Observer invoked by [`AtomicCpu::run_with_hook`] on every architectural
-/// event.
+/// Observer invoked on every architectural event by both run loops.
 ///
 /// The instruction-accurate path uses the no-op default implementation;
 /// the timing models in `simtune-hw` implement this trait to accumulate
 /// cycles and drive prefetchers (which is why [`ExecHook::on_data_access`]
-/// receives the hierarchy mutably).
+/// receives the hierarchy mutably), deriving each retirement's
+/// [`crate::UopEvent`] with [`crate::uop_event`] when they track
+/// register hazards.
+///
+/// Event order per retirement is fixed and identical on every
+/// [`crate::EngineKind`]: `on_fetch`, then zero or more
+/// `on_data_access` and at most one `on_branch` while the instruction
+/// executes, then `on_retire`.
 pub trait ExecHook {
-    /// True only for hooks that observe nothing. Engines may use this to
-    /// batch deterministic event accounting (e.g. crediting a lockstep
-    /// block's instruction fetches in one call) instead of synthesizing
-    /// per-event callbacks nobody consumes; the resulting statistics
-    /// must stay bit-identical either way.
-    const IS_NOOP: bool = false;
-
     /// Called after the fetch of each instruction.
     fn on_fetch(&mut self, pc: usize, serviced: ServicedBy) {
         let _ = (pc, serviced);
@@ -67,9 +68,7 @@ pub trait ExecHook {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopHook;
 
-impl ExecHook for NoopHook {
-    const IS_NOOP: bool = true;
-}
+impl ExecHook for NoopHook {}
 
 /// Where control goes after one retired instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,28 +125,15 @@ impl AtomicCpu {
         &self.vr[r.0 as usize][..self.lanes]
     }
 
-    /// Runs `prog` to completion in plain instruction-accurate mode.
+    /// Runs `prog` to completion on the re-decoding interpreter,
+    /// reporting every event to `hook` (pass [`NoopHook`] for plain
+    /// instruction-accurate mode).
     ///
-    /// # Errors
-    ///
-    /// See [`AtomicCpu::run_with_hook`].
-    pub fn run(
-        &mut self,
-        prog: &Program,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-    ) -> Result<SimStats, SimError> {
-        self.run_with_hook(prog, mem, hier, limits, &mut NoopHook)
-    }
-
-    /// Runs `prog` to completion, reporting every event to `hook`.
-    ///
-    /// Thin wrapper over [`crate::InterpEngine`], the re-decoding
-    /// execution engine; pre-lower the program with
-    /// [`crate::DecodedProgram::decode`] and drive a
-    /// [`crate::DecodedEngine`] to amortize per-instruction dispatch work
-    /// across repeated simulations.
+    /// This is the entry for one-shot runs (board measurement, the
+    /// torture generator's self-checks). Repeated runs of one program
+    /// pre-lower it with [`crate::DecodedProgram::decode`] and go
+    /// through [`crate::EngineKind::run`], which also takes a prefix
+    /// budget.
     ///
     /// # Errors
     ///
@@ -155,7 +141,7 @@ impl AtomicCpu {
     /// * [`SimError::InstLimitExceeded`] — `limits.max_insts` exhausted.
     /// * [`SimError::MemoryFault`] — access outside the address space.
     /// * [`SimError::UnknownSyscall`] — unimplemented `Ecall` code.
-    pub fn run_with_hook<H: ExecHook>(
+    pub fn run<H: ExecHook>(
         &mut self,
         prog: &Program,
         mem: &mut Memory,
@@ -163,36 +149,15 @@ impl AtomicCpu {
         limits: RunLimits,
         hook: &mut H,
     ) -> Result<SimStats, SimError> {
-        use crate::decode::{ExecEngine, InterpEngine};
-        InterpEngine::new(prog).run_with_hook(self, mem, hier, limits, hook)
+        self.run_inner(prog, mem, hier, limits, None, hook)
+            .map(|(stats, _)| stats)
     }
 
-    /// Runs at most `budget` instructions of `prog`, stopping *cleanly*
-    /// (not with an error) when the budget is reached before the program
-    /// terminates. Returns the statistics of the executed prefix and
-    /// whether the program ran to completion.
-    ///
-    /// This is the primitive behind sampled simulation (Pac-Sim-style):
-    /// a fidelity-reduced backend simulates only a prefix of the work and
-    /// extrapolates the rest. [`RunLimits::max_insts`] still aborts the
-    /// run with an error when it is lower than `budget`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AtomicCpu::run_with_hook`].
-    pub fn run_prefix_with_hook<H: ExecHook>(
-        &mut self,
-        prog: &Program,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        budget: u64,
-        hook: &mut H,
-    ) -> Result<(SimStats, bool), SimError> {
-        use crate::decode::{ExecEngine, InterpEngine};
-        InterpEngine::new(prog).run_prefix_with_hook(self, mem, hier, limits, budget, hook)
-    }
-
+    /// The interpreter loop: re-inspects the raw program on every
+    /// retirement. The reference the decoded loop is checked against.
+    /// Stops cleanly (returning `false`) once `stop_at` instructions
+    /// retired; [`RunLimits::max_insts`] still aborts with an error when
+    /// it is lower.
     pub(crate) fn run_inner<H: ExecHook>(
         &mut self,
         prog: &Program,
@@ -243,9 +208,62 @@ impl AtomicCpu {
         ))
     }
 
+    /// The decoded loop: replays a [`DecodedProgram`]. Per-retirement
+    /// work is one indexed µop load — no PC bounds check (validated at
+    /// decode), no fetch-address arithmetic (precomputed). Same
+    /// `stop_at` contract as `run_inner`.
+    pub(crate) fn run_decoded<H: ExecHook>(
+        &mut self,
+        prog: &DecodedProgram,
+        mem: &mut Memory,
+        hier: &mut CacheHierarchy,
+        limits: RunLimits,
+        stop_at: Option<u64>,
+        hook: &mut H,
+    ) -> Result<(SimStats, bool), SimError> {
+        let ops = prog.ops();
+        let mut mix = InstMix::default();
+        let mut pc = 0usize;
+        let line_bytes = hier.line_bytes();
+        let mut completed = true;
+        loop {
+            let retired = mix.total();
+            if retired >= limits.max_insts {
+                return Err(SimError::InstLimitExceeded {
+                    limit: limits.max_insts,
+                });
+            }
+            if stop_at.is_some_and(|budget| retired >= budget) {
+                completed = false;
+                break;
+            }
+            // In range by decode-time validation: every reachable pc is a
+            // fall-through (checked against the last instruction) or a
+            // validated branch target. Copy the architectural fields to
+            // locals so they live in registers across the step.
+            let op = &ops[pc];
+            let inst = op.inst;
+            hook.on_fetch(pc, hier.fetch(op.fetch_addr));
+            let step = self.exec_inst(&inst, pc, mem, hier, hook, line_bytes, &mut mix)?;
+            hook.on_retire(&inst);
+            match step {
+                Step::Next => pc += 1,
+                Step::Jump(target) => pc = target,
+                Step::Stop => break,
+            }
+        }
+        Ok((
+            SimStats {
+                inst_mix: mix,
+                cache: hier.stats(),
+                host_nanos: 0,
+            },
+            completed,
+        ))
+    }
+
     /// Executes exactly one instruction: the semantic core shared by the
-    /// re-decoding [`crate::InterpEngine`] and the pre-decoded
-    /// [`crate::DecodedEngine`], so both produce bit-identical
+    /// interpreter and decoded loops, so both produce bit-identical
     /// architectural state and statistics by construction.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)] // hot path: every operand is load-bearing
@@ -516,15 +534,25 @@ mod tests {
         )
     }
 
+    /// Runs `prog` on `cpu` from cold memory and caches, stopping after
+    /// `budget` instructions when one is given; returns the final memory
+    /// with the run's result.
+    fn run_cold(
+        cpu: &mut AtomicCpu,
+        prog: &Program,
+        limits: RunLimits,
+        budget: Option<u64>,
+    ) -> (Memory, Result<(SimStats, bool), SimError>) {
+        let (mut mem, mut hier) = setup();
+        let out = cpu.run_inner(prog, &mut mem, &mut hier, limits, budget, &mut NoopHook);
+        (mem, out)
+    }
+
     fn run_prog(b: ProgramBuilder) -> (AtomicCpu, SimStats) {
         let prog = b.build().expect("valid program");
-        let target = TargetIsa::arm_cortex_a72();
-        let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let stats = cpu
-            .run(&prog, &mut mem, &mut hier, RunLimits::default())
-            .expect("run succeeds");
-        (cpu, stats)
+        let mut cpu = AtomicCpu::new(&TargetIsa::arm_cortex_a72());
+        let (_, out) = run_cold(&mut cpu, &prog, RunLimits::default(), None);
+        (cpu, out.expect("run succeeds").0)
     }
 
     #[test]
@@ -690,9 +718,8 @@ mod tests {
         // ARM target: 4 lanes.
         let target = TargetIsa::arm_cortex_a72();
         let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        cpu.run(&prog, &mut mem, &mut hier, RunLimits::default())
-            .unwrap();
+        let (mem, out) = run_cold(&mut cpu, &prog, RunLimits::default(), None);
+        out.unwrap();
         assert_eq!(cpu.vr(Vr(3)), &[7.0, 7.0, 7.0, 7.0]);
         assert_eq!(cpu.fpr(Fpr(1)), 28.0);
         assert_eq!(mem.read_f32_slice(0x10_0000, 4).unwrap(), vec![7.0; 4]);
@@ -717,10 +744,8 @@ mod tests {
         let prog = b.build().unwrap();
         let target = TargetIsa::x86_ryzen_5800x(); // 8 lanes
         let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let stats = cpu
-            .run(&prog, &mut mem, &mut hier, RunLimits::default())
-            .unwrap();
+        let (_, out) = run_cold(&mut cpu, &prog, RunLimits::default(), None);
+        let (stats, _) = out.unwrap();
         assert_eq!(stats.inst_mix.loads, 1, "one instruction");
         assert_eq!(stats.cache.l1d.read_misses, 2, "two lines touched");
     }
@@ -734,8 +759,7 @@ mod tests {
         let prog = b.build().unwrap();
         let target = TargetIsa::riscv_u74();
         let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let err = cpu.run(&prog, &mut mem, &mut hier, RunLimits { max_insts: 100 });
+        let (_, err) = run_cold(&mut cpu, &prog, RunLimits { max_insts: 100 }, None);
         assert!(matches!(err, Err(SimError::InstLimitExceeded { .. })));
     }
 
@@ -765,54 +789,21 @@ mod tests {
         let prog = b.build().unwrap();
         let target = TargetIsa::riscv_u74();
 
+        let run = |limits, budget| run_cold(&mut AtomicCpu::new(&target), &prog, limits, budget).1;
+
         // Budget below the full run: clean stop, exact prefix length.
-        let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let (stats, completed) = cpu
-            .run_prefix_with_hook(
-                &prog,
-                &mut mem,
-                &mut hier,
-                RunLimits::default(),
-                10,
-                &mut NoopHook,
-            )
-            .unwrap();
+        let (stats, completed) = run(RunLimits::default(), Some(10)).unwrap();
         assert!(!completed);
         assert_eq!(stats.inst_mix.total(), 10);
 
         // Budget beyond the full run: identical to a plain run.
-        let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let (stats, completed) = cpu
-            .run_prefix_with_hook(
-                &prog,
-                &mut mem,
-                &mut hier,
-                RunLimits::default(),
-                u64::MAX,
-                &mut NoopHook,
-            )
-            .unwrap();
+        let (stats, completed) = run(RunLimits::default(), Some(u64::MAX)).unwrap();
         assert!(completed);
-        let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let full = cpu
-            .run(&prog, &mut mem, &mut hier, RunLimits::default())
-            .unwrap();
+        let (full, _) = run(RunLimits::default(), None).unwrap();
         assert_eq!(stats, full);
 
         // max_insts still wins over the prefix budget.
-        let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let err = cpu.run_prefix_with_hook(
-            &prog,
-            &mut mem,
-            &mut hier,
-            RunLimits { max_insts: 5 },
-            10,
-            &mut NoopHook,
-        );
+        let err = run(RunLimits { max_insts: 5 }, Some(10));
         assert!(matches!(err, Err(SimError::InstLimitExceeded { .. })));
     }
 
@@ -824,8 +815,7 @@ mod tests {
         let prog = b.build().unwrap();
         let target = TargetIsa::riscv_u74();
         let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let err = cpu.run(&prog, &mut mem, &mut hier, RunLimits::default());
+        let (_, err) = run_cold(&mut cpu, &prog, RunLimits::default(), None);
         assert_eq!(err, Err(SimError::UnknownSyscall { code: 42 }));
     }
 
@@ -884,7 +874,7 @@ mod tests {
         let mut cpu = AtomicCpu::new(&target);
         let (mut mem, mut hier) = setup();
         let mut hook = Counter::default();
-        cpu.run_with_hook(&prog, &mut mem, &mut hier, RunLimits::default(), &mut hook)
+        cpu.run(&prog, &mut mem, &mut hier, RunLimits::default(), &mut hook)
             .unwrap();
         assert_eq!(hook.retired, 4);
         assert_eq!(hook.fetches, 4);

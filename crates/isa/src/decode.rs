@@ -1,6 +1,5 @@
 //! Pre-decoded execution: one-time lowering of a [`Program`] into a
-//! dense µop array, plus the [`ExecEngine`] abstraction over the two
-//! ways of driving the [`AtomicCpu`].
+//! dense µop array that the decoded run loop replays.
 //!
 //! # Why a decode phase
 //!
@@ -25,29 +24,28 @@
 //!
 //! # Engines
 //!
-//! [`ExecEngine`] abstracts "something that can drive an [`AtomicCpu`]
-//! over a program":
+//! [`EngineKind::run`] picks the loop that drives the [`AtomicCpu`]:
 //!
-//! * [`InterpEngine`] — the original loop: re-inspects the raw
+//! * [`EngineKind::Interp`] — the original loop: re-inspects the raw
 //!   [`Program`] on every retirement. Kept as the reference
 //!   implementation and for one-shot runs where decoding would not
-//!   amortize.
-//! * [`DecodedEngine`] — replays a [`DecodedProgram`]; per-retirement
-//!   work is a single indexed load of the µop. The production engine.
+//!   amortize ([`AtomicCpu::run`]).
+//! * [`EngineKind::Decoded`] — replays a [`DecodedProgram`];
+//!   per-retirement work is a single indexed load of the µop. The
+//!   production engine.
 //!
-//! Both engines share the single-instruction semantic core
-//! (`AtomicCpu::exec_inst`), so their architectural results and
-//! [`SimStats`] are bit-identical by construction — a property pinned
-//! down by the differential property suite in `tests/`. [`crate::EngineKind`]
-//! names them for configuration plumbing.
+//! Both loops share the single-instruction semantic core, so their
+//! architectural results, [`SimStats`] and hook event streams are
+//! bit-identical by construction — a property pinned down by the
+//! differential property suite in `tests/`.
 //!
 //! # Example
 //!
 //! ```
 //! use simtune_cache::{CacheHierarchy, HierarchyConfig};
 //! use simtune_isa::{
-//!     AtomicCpu, DecodedEngine, DecodedProgram, ExecEngine, Gpr, Inst, Memory, NoopHook,
-//!     ProgramBuilder, RunLimits, TargetIsa,
+//!     AtomicCpu, DecodedProgram, EngineKind, Gpr, Inst, Memory, NoopHook, ProgramBuilder,
+//!     RunLimits, TargetIsa,
 //! };
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,14 +57,22 @@
 //!
 //! let target = TargetIsa::riscv_u74();
 //! let decoded = DecodedProgram::decode(&prog, &target)?; // once
-//! let engine = DecodedEngine::new(&decoded);
 //! for _ in 0..3 {
 //!     // replay many times
 //!     let mut cpu = AtomicCpu::new(&target);
 //!     let mut mem = Memory::new();
 //!     let mut hier = CacheHierarchy::new(HierarchyConfig::tiny_for_tests());
-//!     let stats =
-//!         engine.run_with_hook(&mut cpu, &mut mem, &mut hier, RunLimits::default(), &mut NoopHook)?;
+//!     let (stats, completed) = EngineKind::Decoded.run(
+//!         &prog,
+//!         &decoded,
+//!         &mut cpu,
+//!         &mut mem,
+//!         &mut hier,
+//!         RunLimits::default(),
+//!         None,
+//!         &mut NoopHook,
+//!     )?;
+//!     assert!(completed);
 //!     assert_eq!(stats.inst_mix.total(), 3);
 //!     assert_eq!(cpu.gpr(Gpr(1)), 42);
 //! }
@@ -74,12 +80,9 @@
 //! # }
 //! ```
 
-use crate::cpu::Step;
-use crate::{
-    AtomicCpu, ExecHook, Inst, InstMix, Memory, Program, RunLimits, SimError, SimStats, TargetIsa,
-    CODE_BASE,
-};
-use simtune_cache::CacheHierarchy;
+#[cfg(doc)]
+use crate::{AtomicCpu, EngineKind, InstMix, SimStats};
+use crate::{Inst, Program, SimError, TargetIsa, CODE_BASE};
 
 /// Statistics class of an instruction — the precomputed form of the
 /// per-arm `mix.* += 1` accounting in the interpreter.
@@ -142,7 +145,7 @@ impl MixClass {
 }
 
 /// One pre-decoded instruction: the dense replay form the
-/// [`DecodedEngine`] executes.
+/// [`EngineKind::Decoded`] loop executes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MicroOp {
     /// The architectural instruction (branch targets already resolved).
@@ -157,7 +160,7 @@ pub struct MicroOp {
 /// control flow.
 ///
 /// Produced by [`DecodedProgram::decode`]; consumed by
-/// [`DecodedEngine`]. Decoding is target-specific only through the
+/// [`EngineKind::run`]. Decoding is target-specific only through the
 /// instruction encoding width (fetch addresses); the same decoded
 /// program may be replayed any number of times, by any number of
 /// threads (`DecodedProgram` is immutable and `Send + Sync`).
@@ -254,181 +257,13 @@ fn branch_target(inst: &Inst) -> Option<usize> {
     }
 }
 
-/// Something that can drive an [`AtomicCpu`] over a program: the seam
-/// between "what to execute" (raw or pre-decoded) and "how to execute
-/// it" (the CPU's single-instruction semantics).
-pub trait ExecEngine {
-    /// Runs to completion, reporting every event to `hook`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AtomicCpu::run_with_hook`] (the
-    /// [`DecodedEngine`] can additionally never raise
-    /// [`SimError::PcOutOfRange`]).
-    fn run_with_hook<H: ExecHook>(
-        &self,
-        cpu: &mut AtomicCpu,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        hook: &mut H,
-    ) -> Result<SimStats, SimError>;
-
-    /// Runs at most `budget` instructions, stopping cleanly when the
-    /// budget is reached; returns the prefix statistics and whether the
-    /// program ran to completion.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ExecEngine::run_with_hook`].
-    fn run_prefix_with_hook<H: ExecHook>(
-        &self,
-        cpu: &mut AtomicCpu,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        budget: u64,
-        hook: &mut H,
-    ) -> Result<(SimStats, bool), SimError>;
-}
-
-/// The original re-decoding execution loop: inspects the raw [`Program`]
-/// on every retirement. Reference implementation and the right choice
-/// for one-shot runs where a decode pass would not amortize.
-#[derive(Debug, Clone, Copy)]
-pub struct InterpEngine<'p> {
-    prog: &'p Program,
-}
-
-impl<'p> InterpEngine<'p> {
-    /// Engine over a raw program.
-    pub fn new(prog: &'p Program) -> Self {
-        InterpEngine { prog }
-    }
-}
-
-impl ExecEngine for InterpEngine<'_> {
-    fn run_with_hook<H: ExecHook>(
-        &self,
-        cpu: &mut AtomicCpu,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        hook: &mut H,
-    ) -> Result<SimStats, SimError> {
-        cpu.run_inner(self.prog, mem, hier, limits, None, hook)
-            .map(|(stats, _)| stats)
-    }
-
-    fn run_prefix_with_hook<H: ExecHook>(
-        &self,
-        cpu: &mut AtomicCpu,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        budget: u64,
-        hook: &mut H,
-    ) -> Result<(SimStats, bool), SimError> {
-        cpu.run_inner(self.prog, mem, hier, limits, Some(budget), hook)
-    }
-}
-
-/// The fast path: replays a [`DecodedProgram`]. Per-retirement work is
-/// one indexed µop load — no PC bounds check (validated at decode), no
-/// fetch-address arithmetic (precomputed).
-#[derive(Debug, Clone, Copy)]
-pub struct DecodedEngine<'p> {
-    prog: &'p DecodedProgram,
-}
-
-impl<'p> DecodedEngine<'p> {
-    /// Engine over a pre-decoded program.
-    pub fn new(prog: &'p DecodedProgram) -> Self {
-        DecodedEngine { prog }
-    }
-
-    fn run_decoded<H: ExecHook>(
-        &self,
-        cpu: &mut AtomicCpu,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        stop_at: Option<u64>,
-        hook: &mut H,
-    ) -> Result<(SimStats, bool), SimError> {
-        let ops = self.prog.ops.as_slice();
-        let mut mix = InstMix::default();
-        let mut pc = 0usize;
-        let line_bytes = hier.line_bytes();
-        let mut completed = true;
-        loop {
-            let retired = mix.total();
-            if retired >= limits.max_insts {
-                return Err(SimError::InstLimitExceeded {
-                    limit: limits.max_insts,
-                });
-            }
-            if stop_at.is_some_and(|budget| retired >= budget) {
-                completed = false;
-                break;
-            }
-            // In range by decode-time validation: every reachable pc is a
-            // fall-through (checked against the last instruction) or a
-            // validated branch target. Copy the architectural fields to
-            // locals so they live in registers across the step.
-            let op = &ops[pc];
-            let inst = op.inst;
-            hook.on_fetch(pc, hier.fetch(op.fetch_addr));
-            let step = cpu.exec_inst(&inst, pc, mem, hier, hook, line_bytes, &mut mix)?;
-            hook.on_retire(&inst);
-            match step {
-                Step::Next => pc += 1,
-                Step::Jump(target) => pc = target,
-                Step::Stop => break,
-            }
-        }
-        Ok((
-            SimStats {
-                inst_mix: mix,
-                cache: hier.stats(),
-                host_nanos: 0,
-            },
-            completed,
-        ))
-    }
-}
-
-impl ExecEngine for DecodedEngine<'_> {
-    fn run_with_hook<H: ExecHook>(
-        &self,
-        cpu: &mut AtomicCpu,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        hook: &mut H,
-    ) -> Result<SimStats, SimError> {
-        self.run_decoded(cpu, mem, hier, limits, None, hook)
-            .map(|(stats, _)| stats)
-    }
-
-    fn run_prefix_with_hook<H: ExecHook>(
-        &self,
-        cpu: &mut AtomicCpu,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        budget: u64,
-        hook: &mut H,
-    ) -> Result<(SimStats, bool), SimError> {
-        self.run_decoded(cpu, mem, hier, limits, Some(budget), hook)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fpr, Gpr, NoopHook, ProgramBuilder};
-    use simtune_cache::HierarchyConfig;
+    use crate::{
+        AtomicCpu, EngineKind, Fpr, Gpr, Memory, NoopHook, ProgramBuilder, RunLimits, SimStats,
+    };
+    use simtune_cache::{CacheHierarchy, HierarchyConfig};
 
     fn loop_program() -> Program {
         // sum = 0; for i in 0..10 { sum += i }
@@ -455,44 +290,38 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn setup() -> (Memory, CacheHierarchy) {
-        (
-            Memory::new(),
-            CacheHierarchy::new(HierarchyConfig::tiny_for_tests()),
-        )
+    /// Runs `prog` on `engine` from cold state; returns the run's result
+    /// and the final CPU.
+    fn run(
+        engine: EngineKind,
+        prog: &Program,
+        limits: RunLimits,
+        budget: Option<u64>,
+    ) -> (Result<(SimStats, bool), SimError>, AtomicCpu) {
+        let target = TargetIsa::riscv_u74();
+        let decoded = DecodedProgram::decode(prog, &target).unwrap();
+        let mut cpu = AtomicCpu::new(&target);
+        let mut mem = Memory::new();
+        let mut hier = CacheHierarchy::new(HierarchyConfig::tiny_for_tests());
+        let out = engine.run(
+            prog,
+            &decoded,
+            &mut cpu,
+            &mut mem,
+            &mut hier,
+            limits,
+            budget,
+            &mut NoopHook,
+        );
+        (out, cpu)
     }
 
     #[test]
     fn decoded_engine_matches_interpreter_exactly() {
         let prog = loop_program();
-        let target = TargetIsa::riscv_u74();
-        let decoded = DecodedProgram::decode(&prog, &target).unwrap();
-
-        let mut cpu_a = AtomicCpu::new(&target);
-        let (mut mem_a, mut hier_a) = setup();
-        let a = InterpEngine::new(&prog)
-            .run_with_hook(
-                &mut cpu_a,
-                &mut mem_a,
-                &mut hier_a,
-                RunLimits::default(),
-                &mut NoopHook,
-            )
-            .unwrap();
-
-        let mut cpu_b = AtomicCpu::new(&target);
-        let (mut mem_b, mut hier_b) = setup();
-        let b = DecodedEngine::new(&decoded)
-            .run_with_hook(
-                &mut cpu_b,
-                &mut mem_b,
-                &mut hier_b,
-                RunLimits::default(),
-                &mut NoopHook,
-            )
-            .unwrap();
-
-        assert_eq!(a, b);
+        let (a, cpu_a) = run(EngineKind::Interp, &prog, RunLimits::default(), None);
+        let (b, cpu_b) = run(EngineKind::Decoded, &prog, RunLimits::default(), None);
+        assert_eq!(a.unwrap(), b.unwrap());
         assert_eq!(cpu_a.gpr(Gpr(2)), 45);
         assert_eq!(cpu_b.gpr(Gpr(2)), 45);
     }
@@ -500,55 +329,20 @@ mod tests {
     #[test]
     fn decoded_engine_surfaces_inst_limit() {
         let prog = loop_program();
-        let target = TargetIsa::riscv_u74();
-        let decoded = DecodedProgram::decode(&prog, &target).unwrap();
-        let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let err = DecodedEngine::new(&decoded)
-            .run_with_hook(
-                &mut cpu,
-                &mut mem,
-                &mut hier,
-                RunLimits { max_insts: 5 },
-                &mut NoopHook,
-            )
-            .unwrap_err();
-        assert_eq!(err, SimError::InstLimitExceeded { limit: 5 });
+        let (err, _) = run(EngineKind::Decoded, &prog, RunLimits { max_insts: 5 }, None);
+        assert_eq!(err.unwrap_err(), SimError::InstLimitExceeded { limit: 5 });
     }
 
     #[test]
     fn decoded_prefix_stops_cleanly_and_matches() {
         let prog = loop_program();
-        let target = TargetIsa::riscv_u74();
-        let decoded = DecodedProgram::decode(&prog, &target).unwrap();
-
-        let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let (stats, completed) = DecodedEngine::new(&decoded)
-            .run_prefix_with_hook(
-                &mut cpu,
-                &mut mem,
-                &mut hier,
-                RunLimits::default(),
-                10,
-                &mut NoopHook,
-            )
-            .unwrap();
+        let (decoded, _) = run(EngineKind::Decoded, &prog, RunLimits::default(), Some(10));
+        let (stats, completed) = decoded.unwrap();
         assert!(!completed);
         assert_eq!(stats.inst_mix.total(), 10);
 
-        let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let (interp, completed_i) = InterpEngine::new(&prog)
-            .run_prefix_with_hook(
-                &mut cpu,
-                &mut mem,
-                &mut hier,
-                RunLimits::default(),
-                10,
-                &mut NoopHook,
-            )
-            .unwrap();
+        let (interp, _) = run(EngineKind::Interp, &prog, RunLimits::default(), Some(10));
+        let (interp, completed_i) = interp.unwrap();
         assert!(!completed_i);
         assert_eq!(stats, interp);
     }

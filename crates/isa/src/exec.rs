@@ -1,6 +1,6 @@
 use crate::{
-    AtomicCpu, DecodedEngine, DecodedProgram, EngineKind, ExecEngine, ExecHook, InterpEngine,
-    Memory, NoopHook, Program, RunLimits, SimError, SimStats, TargetIsa,
+    AtomicCpu, DecodedProgram, EngineKind, ExecHook, Memory, NoopHook, Program, RunLimits,
+    SimError, SimStats, TargetIsa,
 };
 use simtune_cache::{CacheHierarchy, HierarchyConfig};
 use std::time::Instant;
@@ -127,13 +127,20 @@ pub fn simulate_decoded_on(
 }
 
 /// Loads `exe` on a fresh instance — its data segments in new memory, a
-/// cold hierarchy from `hier`, a reset CPU — and times `run` over it.
-fn run_fresh(
+/// cold hierarchy from `hier`, a reset CPU — and times one run of it on
+/// `engine` (see [`EngineKind::run`] for `budget` and the returned
+/// completion flag).
+#[allow(clippy::too_many_arguments)] // EngineKind::run's operands plus the instance set-up
+fn run_fresh<H: ExecHook>(
     exe: &Executable,
+    decoded: &DecodedProgram,
+    engine: EngineKind,
     hier: impl FnOnce() -> CacheHierarchy,
     backend: &str,
-    run: impl FnOnce(&mut AtomicCpu, &mut Memory, &mut CacheHierarchy) -> Result<SimStats, SimError>,
-) -> Result<SimOutcome, SimError> {
+    limits: RunLimits,
+    budget: Option<u64>,
+    hook: &mut H,
+) -> Result<(SimOutcome, bool), SimError> {
     let mut mem = Memory::new();
     for (base, values) in &exe.data_segments {
         mem.write_f32_slice(*base, values)?;
@@ -143,35 +150,23 @@ fn run_fresh(
     let mut hier = hier();
     let mut cpu = AtomicCpu::new(&exe.target);
     let start = Instant::now();
-    let mut stats = run(&mut cpu, &mut mem, &mut hier)?;
+    let (mut stats, completed) = engine.run(
+        &exe.program,
+        decoded,
+        &mut cpu,
+        &mut mem,
+        &mut hier,
+        limits,
+        budget,
+        hook,
+    )?;
     stats.host_nanos = start.elapsed().as_nanos().max(1) as u64;
-    Ok(SimOutcome {
+    let out = SimOutcome {
         stats,
         memory: mem,
         backend: backend.into(),
-    })
-}
-
-/// Dispatches one full run to the selected engine with an explicit
-/// event hook. Both engines raise the same per-retirement event
-/// sequence.
-#[allow(clippy::too_many_arguments)] // mirrors the run entry points
-fn run_full_hooked<H: ExecHook>(
-    prog: &Program,
-    decoded: &DecodedProgram,
-    engine: EngineKind,
-    cpu: &mut AtomicCpu,
-    mem: &mut Memory,
-    hier: &mut CacheHierarchy,
-    limits: RunLimits,
-    hook: &mut H,
-) -> Result<SimStats, SimError> {
-    match engine {
-        EngineKind::Interp => InterpEngine::new(prog).run_with_hook(cpu, mem, hier, limits, hook),
-        EngineKind::Decoded => {
-            DecodedEngine::new(decoded).run_with_hook(cpu, mem, hier, limits, hook)
-        }
-    }
+    };
+    Ok((out, completed))
 }
 
 /// [`simulate_decoded_on`] with an explicit [`ExecHook`] observing the
@@ -195,9 +190,7 @@ pub fn simulate_decoded_hooked_on<H: ExecHook>(
     hook: &mut H,
 ) -> Result<SimOutcome, SimError> {
     let hier = || CacheHierarchy::new(hierarchy.clone());
-    run_fresh(exe, hier, ACCURATE, |cpu, mem, hier| {
-        run_full_hooked(&exe.program, decoded, engine, cpu, mem, hier, limits, hook)
-    })
+    run_fresh(exe, decoded, engine, hier, ACCURATE, limits, None, hook).map(|(out, _)| out)
 }
 
 /// Canonical name of the full instruction-accurate simulator flavor.
@@ -242,18 +235,17 @@ pub fn simulate_counting_decoded_on(
     engine: EngineKind,
 ) -> Result<SimOutcome, SimError> {
     let hier = || CacheHierarchy::counting_only(line_bytes);
-    run_fresh(exe, hier, FAST_COUNT, |cpu, mem, hier| {
-        run_full_hooked(
-            &exe.program,
-            decoded,
-            engine,
-            cpu,
-            mem,
-            hier,
-            limits,
-            &mut NoopHook,
-        )
-    })
+    run_fresh(
+        exe,
+        decoded,
+        engine,
+        hier,
+        FAST_COUNT,
+        limits,
+        None,
+        &mut NoopHook,
+    )
+    .map(|(out, _)| out)
 }
 
 /// Runs at most `budget` instructions of `exe` on a fresh
@@ -276,30 +268,16 @@ pub fn simulate_prefix_decoded_on(
     engine: EngineKind,
 ) -> Result<(SimOutcome, bool), SimError> {
     let hier = || CacheHierarchy::new(hierarchy.clone());
-    let mut completed = false;
-    let out = run_fresh(exe, hier, ACCURATE, |cpu, mem, hier| {
-        let (stats, done) = match engine {
-            EngineKind::Interp => InterpEngine::new(&exe.program).run_prefix_with_hook(
-                cpu,
-                mem,
-                hier,
-                limits,
-                budget,
-                &mut NoopHook,
-            ),
-            EngineKind::Decoded => DecodedEngine::new(decoded).run_prefix_with_hook(
-                cpu,
-                mem,
-                hier,
-                limits,
-                budget,
-                &mut NoopHook,
-            ),
-        }?;
-        completed = done;
-        Ok(stats)
-    })?;
-    Ok((out, completed))
+    run_fresh(
+        exe,
+        decoded,
+        engine,
+        hier,
+        ACCURATE,
+        limits,
+        Some(budget),
+        &mut NoopHook,
+    )
 }
 
 impl Executable {

@@ -16,12 +16,15 @@
 //! Execution is split into a **decode phase** and an **execute phase**:
 //! [`DecodedProgram::decode`] lowers a validated [`Program`] once into a
 //! dense µop array (pre-resolved control flow, precomputed fetch
-//! addresses, per-instruction [`MixClass`]), and the two
-//! [`ExecEngine`] implementations drive the CPU over either form —
-//! [`InterpEngine`] re-inspects the raw program each step (the reference
-//! oracle) and [`DecodedEngine`] replays the µop array (the production
-//! engine). Both share one semantic core, so their observable results
-//! are bit-identical; [`EngineKind`] names them for configuration.
+//! addresses, per-instruction [`MixClass`]), and [`EngineKind::run`]
+//! drives the CPU over either form — [`EngineKind::Interp`] re-inspects
+//! the raw program each step (the reference oracle, also reachable as
+//! [`AtomicCpu::run`]) and [`EngineKind::Decoded`] replays the µop array
+//! (the production engine). Both share one semantic core, so their
+//! observable results and [`ExecHook`] event streams are bit-identical.
+//! Timing models observe a run through that one hook trait; the
+//! [`uop_event`] helper reduces a retirement to the registers a
+//! scoreboard tracks.
 //! [`simulate`] decodes internally; the `*_decoded` entry points accept
 //! a pre-decoded handle so batch drivers pay for decoding exactly once
 //! per executable, and the `*_decoded_on` variants additionally select
@@ -37,7 +40,7 @@
 //!
 //! ```
 //! use simtune_cache::HierarchyConfig;
-//! use simtune_isa::{AtomicCpu, Gpr, Inst, Memory, ProgramBuilder, RunLimits, TargetIsa};
+//! use simtune_isa::{AtomicCpu, Gpr, Inst, Memory, NoopHook, ProgramBuilder, RunLimits, TargetIsa};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // r1 = 5; r2 = 37; r3 = r1 + r2; halt.
@@ -53,7 +56,7 @@
 //! let mut mem = Memory::new();
 //! let mut hier = simtune_cache::CacheHierarchy::new(
 //!     simtune_cache::HierarchyConfig::tiny_for_tests());
-//! let stats = cpu.run(&prog, &mut mem, &mut hier, RunLimits::default())?;
+//! let stats = cpu.run(&prog, &mut mem, &mut hier, RunLimits::default(), &mut NoopHook)?;
 //! assert_eq!(cpu.gpr(Gpr(3)), 42);
 //! assert_eq!(stats.inst_mix.total(), 4);
 //! # let _ = HierarchyConfig::tiny_for_tests();
@@ -79,7 +82,7 @@ mod torture;
 
 pub use asm::{parse_inst, parse_program, AsmError};
 pub use cpu::{AtomicCpu, ExecHook, NoopHook, RunLimits};
-pub use decode::{DecodedEngine, DecodedProgram, ExecEngine, InterpEngine, MicroOp, MixClass};
+pub use decode::{DecodedProgram, MicroOp, MixClass};
 pub use engine::EngineKind;
 pub use error::{BuildProgramError, SimError};
 pub use exec::{
@@ -93,7 +96,7 @@ pub use program::{Program, ProgramBuilder};
 pub use shrink::shrink_program;
 pub use stats::{InstMix, SimStats};
 pub use target::TargetIsa;
-pub use timing::{uop_event, Reg, TimingBridge, TimingHook, UopEvent, TIMING_REGS};
+pub use timing::{uop_event, Reg, UopEvent, TIMING_REGS};
 pub use torture::{
     torture_program, torture_program_with, MemoryPattern, TortureConfig, TORTURE_FAULT_CODE,
     TORTURE_WINDOW,

@@ -1,25 +1,23 @@
-//! µop-level timing events: the seam between functional replay and
-//! cycle-accurate timing tiers.
+//! µop-level timing events: what a cycle-accurate timing tier derives
+//! from each retirement.
 //!
-//! [`ExecHook`] reports *architectural* events ([`Inst`] retirements,
-//! cache-line accesses, branch resolutions). A timing model wants the
-//! same stream one abstraction lower: per retirement, the µop's
+//! [`ExecHook`](crate::ExecHook) reports *architectural* events
+//! ([`Inst`] retirements, cache-line accesses, branch resolutions). A
+//! timing model wants each retirement one abstraction lower: the µop's
 //! statistics class and the registers it reads and writes, so it can
-//! track RAW hazards and load-use bubbles without re-decoding every
-//! instruction itself. [`TimingHook`] is that interface, and
-//! [`TimingBridge`] adapts any `TimingHook` into an `ExecHook`, so the
-//! replay engines need no changes and — because hooks are monomorphized
-//! and [`NoopHook`](crate::NoopHook) stays the default everywhere —
-//! non-timing tiers pay nothing for the extra layer.
+//! track RAW hazards and load-use bubbles. [`uop_event`] is that
+//! reduction; a timing model implements `ExecHook` directly and calls
+//! it from `on_retire`. Hooks are monomorphized and
+//! [`NoopHook`](crate::NoopHook) stays the default everywhere, so
+//! non-timing tiers pay nothing for it.
 //!
-//! The bridge delivers events in the engines' fixed order, identical
-//! across every [`EngineKind`](crate::EngineKind): `on_fetch`, then any
-//! `on_mem`/`on_branch` raised while the instruction executes, then the
-//! instruction's single `on_uop`. Timing models therefore buffer fetch
-//! and memory latencies and settle them when the owning µop arrives.
+//! Events arrive in the run loops' fixed order, identical on every
+//! [`EngineKind`](crate::EngineKind): `on_fetch`, then any
+//! `on_data_access`/`on_branch` raised while the instruction executes,
+//! then its single `on_retire`. Timing models therefore buffer fetch
+//! and memory latencies and settle them when the owning µop retires.
 
-use crate::{ExecHook, Fpr, Gpr, Inst, MixClass, Vr};
-use simtune_cache::{CacheHierarchy, ServicedBy};
+use crate::{Fpr, Gpr, Inst, MixClass, Vr};
 
 /// Number of slots in the unified timing register space: 32 GPRs, 32
 /// FPRs and 32 vector registers.
@@ -134,79 +132,6 @@ pub fn uop_event(inst: &Inst) -> UopEvent {
     UopEvent { class, dst, srcs }
 }
 
-/// A µop-level execution observer: what a cycle-accurate timing tier
-/// implements. Event order per retirement is fixed (and identical
-/// across replay engines): `on_fetch`, then zero or more `on_mem` and
-/// at most one `on_branch` while the instruction executes, then the
-/// instruction's `on_uop`.
-pub trait TimingHook {
-    /// An instruction was fetched at `pc`, serviced by `serviced`.
-    fn on_fetch(&mut self, pc: usize, serviced: ServicedBy) {
-        let _ = (pc, serviced);
-    }
-
-    /// An instruction retired as `uop`.
-    fn on_uop(&mut self, uop: &UopEvent) {
-        let _ = uop;
-    }
-
-    /// A data access touched the cache line at `line_addr`. The
-    /// hierarchy is mutable so prefetchers can issue fills.
-    fn on_mem(
-        &mut self,
-        line_addr: u64,
-        is_store: bool,
-        serviced: ServicedBy,
-        hier: &mut CacheHierarchy,
-    ) {
-        let _ = (line_addr, is_store, serviced, hier);
-    }
-
-    /// A control-flow instruction at `pc` resolved.
-    fn on_branch(&mut self, pc: usize, target: usize, taken: bool) {
-        let _ = (pc, target, taken);
-    }
-}
-
-/// Adapts a [`TimingHook`] into an [`ExecHook`], translating each
-/// retirement into its [`UopEvent`] — so timing tiers plug into the
-/// unmodified replay engines.
-#[derive(Debug)]
-pub struct TimingBridge<'h, H: TimingHook> {
-    hook: &'h mut H,
-}
-
-impl<'h, H: TimingHook> TimingBridge<'h, H> {
-    /// Wraps `hook` for one run.
-    pub fn new(hook: &'h mut H) -> Self {
-        TimingBridge { hook }
-    }
-}
-
-impl<H: TimingHook> ExecHook for TimingBridge<'_, H> {
-    fn on_fetch(&mut self, pc: usize, serviced: ServicedBy) {
-        self.hook.on_fetch(pc, serviced);
-    }
-
-    fn on_retire(&mut self, inst: &Inst) {
-        self.hook.on_uop(&uop_event(inst));
-    }
-
-    fn on_data_access(
-        &mut self,
-        line_addr: u64,
-        is_store: bool,
-        serviced: ServicedBy,
-        hier: &mut CacheHierarchy,
-    ) {
-        self.hook.on_mem(line_addr, is_store, serviced, hier);
-    }
-
-    fn on_branch(&mut self, pc: usize, target: usize, taken: bool) {
-        self.hook.on_branch(pc, target, taken);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,36 +191,52 @@ mod tests {
     }
 
     #[test]
-    fn bridge_translates_retirements_to_uops() {
+    fn retirements_reduce_to_uop_events() {
+        use crate::{AtomicCpu, ExecHook, Memory, ProgramBuilder, RunLimits, TargetIsa};
+        use simtune_cache::{CacheHierarchy, HierarchyConfig, ServicedBy};
+
+        /// What a timing model sees: every retirement as a µop.
         #[derive(Default)]
         struct Collect {
             uops: Vec<UopEvent>,
             fetches: usize,
             branches: usize,
         }
-        impl TimingHook for Collect {
+        impl ExecHook for Collect {
             fn on_fetch(&mut self, _: usize, _: ServicedBy) {
                 self.fetches += 1;
             }
-            fn on_uop(&mut self, uop: &UopEvent) {
-                self.uops.push(*uop);
+            fn on_retire(&mut self, inst: &Inst) {
+                self.uops.push(uop_event(inst));
             }
             fn on_branch(&mut self, _: usize, _: usize, _: bool) {
                 self.branches += 1;
             }
         }
+        let mut b = ProgramBuilder::new();
+        b.push(Inst::Li { rd: Gpr(1), imm: 3 });
+        let end = b.new_label();
+        b.jump(end);
+        b.bind(end);
+        b.push(Inst::Halt);
+        let prog = b.build().unwrap();
+        let target = TargetIsa::riscv_u74();
+        let mut hier = CacheHierarchy::new(HierarchyConfig::tiny_for_tests());
         let mut hook = Collect::default();
-        {
-            let mut bridge = TimingBridge::new(&mut hook);
-            bridge.on_fetch(0, ServicedBy::L1i);
-            bridge.on_retire(&Inst::Li { rd: Gpr(1), imm: 3 });
-            bridge.on_branch(1, 0, true);
-            bridge.on_retire(&Inst::Jmp { target: 0 });
-        }
-        assert_eq!(hook.fetches, 1);
+        AtomicCpu::new(&target)
+            .run(
+                &prog,
+                &mut Memory::new(),
+                &mut hier,
+                RunLimits::default(),
+                &mut hook,
+            )
+            .unwrap();
+        assert_eq!(hook.fetches, 3);
         assert_eq!(hook.branches, 1);
-        assert_eq!(hook.uops.len(), 2);
+        assert_eq!(hook.uops.len(), 3);
         assert_eq!(hook.uops[0].dst, Some(Reg::gpr(Gpr(1))));
         assert_eq!(hook.uops[1].class, MixClass::Branch);
+        assert_eq!(hook.uops[2].class, MixClass::Other);
     }
 }

@@ -1,7 +1,7 @@
 //! Config-driven torture-program generator: structured random programs
 //! for differential engine and backend testing.
 //!
-//! The differential suites pin every [`crate::ExecEngine`] and every
+//! The differential suites pin every [`crate::EngineKind`] and every
 //! bundled simulation backend to the reference interpreter over
 //! randomized programs. Flat instruction soup is easy to generate but
 //! shallow — it rarely exercises the control-flow shapes where replay
@@ -583,7 +583,7 @@ pub fn torture_program(seed: u64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AtomicCpu, Memory, RunLimits, SimError, TargetIsa};
+    use crate::{AtomicCpu, Memory, NoopHook, RunLimits, SimError, TargetIsa};
     use simtune_cache::{CacheHierarchy, HierarchyConfig};
 
     #[test]
@@ -626,7 +626,13 @@ mod tests {
         let mut cpu = AtomicCpu::new(&target);
         let mut mem = Memory::new();
         let mut hier = CacheHierarchy::new(HierarchyConfig::tiny_for_tests());
-        let run = cpu.run(&prog, &mut mem, &mut hier, RunLimits { max_insts: 100_000 });
+        let run = cpu.run(
+            &prog,
+            &mut mem,
+            &mut hier,
+            RunLimits { max_insts: 100_000 },
+            &mut NoopHook,
+        );
         match run {
             Ok(stats) => assert!(stats.inst_mix.total() > 0),
             // fault_rate 255 clamps to 100: a guarded fault may fire.
@@ -658,7 +664,13 @@ mod tests {
             let mut cpu = AtomicCpu::new(&target);
             let mut mem = Memory::new();
             let mut hier = CacheHierarchy::new(HierarchyConfig::tiny_for_tests());
-            match cpu.run(&prog, &mut mem, &mut hier, RunLimits { max_insts: 100_000 }) {
+            match cpu.run(
+                &prog,
+                &mut mem,
+                &mut hier,
+                RunLimits { max_insts: 100_000 },
+                &mut NoopHook,
+            ) {
                 Ok(_) => completed += 1,
                 Err(SimError::UnknownSyscall { code }) => {
                     assert_eq!(code, TORTURE_FAULT_CODE);

@@ -10,7 +10,9 @@
 //! both go through the whole engine × fidelity × `n_parallel` matrix.
 //!
 //! Prefix-budget equivalence (engines stopping at the same retirement
-//! with identical partial state) is not a harness dimension, so those
+//! with identical partial state) and the [`ExecHook`] event stream
+//! (every callback, its arguments and their order — the contract the
+//! timing tiers rely on) are not harness dimensions, so those
 //! properties keep their local run/capture machinery. Floats are
 //! compared through their bit patterns so NaN-producing programs
 //! (e.g. `fdiv 0/0`) still compare exactly.
@@ -20,11 +22,12 @@
 //! step raises it well above the local default.
 
 use proptest::prelude::*;
-use simtune::cache::{CacheHierarchy, HierarchyConfig};
+use simtune::cache::{CacheHierarchy, HierarchyConfig, ServicedBy};
 use simtune::core::diffharness::DiffHarness;
 use simtune::isa::{
-    AtomicCpu, DecodedEngine, DecodedProgram, ExecEngine, Executable, Fpr, Gpr, Inst, InterpEngine,
-    Memory, NoopHook, Program, ProgramBuilder, RunLimits, TargetIsa, TortureConfig, Vr, DATA_BASE,
+    AtomicCpu, DecodedProgram, EngineKind, ExecHook, Executable, Fpr, Gpr, Inst, Memory, NoopHook,
+    Program, ProgramBuilder, RunLimits, SimError, SimStats, TargetIsa, TortureConfig, Vr,
+    DATA_BASE,
 };
 use std::sync::OnceLock;
 
@@ -314,7 +317,7 @@ fn push_random_inst(b: &mut ProgramBuilder, w: u64) {
 }
 
 struct RunOutput {
-    stats: simtune::isa::SimStats,
+    stats: SimStats,
     completed: bool,
     gprs: Vec<i64>,
     fpr_bits: Vec<u32>,
@@ -322,12 +325,7 @@ struct RunOutput {
     mem_bits: Vec<u32>,
 }
 
-fn capture(
-    stats: simtune::isa::SimStats,
-    completed: bool,
-    cpu: &AtomicCpu,
-    mem: &Memory,
-) -> RunOutput {
+fn capture(stats: SimStats, completed: bool, cpu: &AtomicCpu, mem: &Memory) -> RunOutput {
     RunOutput {
         stats,
         completed,
@@ -345,37 +343,121 @@ fn capture(
     }
 }
 
-/// Runs one engine over a cold data window with an optional prefix
-/// budget (the dimension the shared harness does not cover).
-fn run_engine<E: ExecEngine>(engine: &E, target: &TargetIsa, budget: Option<u64>) -> RunOutput {
-    let mut cpu = AtomicCpu::new(target);
+/// Runs `exe` on one engine from cold state (its data segments loaded)
+/// with an optional prefix budget, reporting every event to `hook`.
+fn run_engine<H: ExecHook>(
+    engine: EngineKind,
+    exe: &Executable,
+    decoded: &DecodedProgram,
+    budget: Option<u64>,
+    hook: &mut H,
+) -> Result<RunOutput, SimError> {
+    let mut cpu = AtomicCpu::new(&exe.target);
     let mut mem = Memory::new();
+    for (base, values) in &exe.data_segments {
+        mem.write_f32_slice(*base, values)?;
+    }
     let mut hier = CacheHierarchy::new(HierarchyConfig::tiny_for_tests());
-    let (stats, completed) = match budget {
-        Some(n) => engine
-            .run_prefix_with_hook(
-                &mut cpu,
-                &mut mem,
-                &mut hier,
-                RunLimits::default(),
-                n,
-                &mut NoopHook,
-            )
-            .expect("prefix run succeeds"),
-        None => (
-            engine
-                .run_with_hook(
-                    &mut cpu,
-                    &mut mem,
-                    &mut hier,
-                    RunLimits::default(),
-                    &mut NoopHook,
-                )
-                .expect("run succeeds"),
-            true,
-        ),
-    };
-    capture(stats, completed, &cpu, &mem)
+    let (stats, completed) = engine.run(
+        &exe.program,
+        decoded,
+        &mut cpu,
+        &mut mem,
+        &mut hier,
+        RunLimits::default(),
+        budget,
+        hook,
+    )?;
+    Ok(capture(stats, completed, &cpu, &mem))
+}
+
+/// One [`ExecHook`] callback with its arguments.
+#[derive(Debug, Clone, PartialEq)]
+enum Event {
+    Fetch(usize, ServicedBy),
+    Data(u64, bool, ServicedBy),
+    Branch(usize, usize, bool),
+    Retire(Inst),
+}
+
+/// Logs every callback, in order.
+#[derive(Default)]
+struct Recorder(Vec<Event>);
+
+impl ExecHook for Recorder {
+    fn on_fetch(&mut self, pc: usize, serviced: ServicedBy) {
+        self.0.push(Event::Fetch(pc, serviced));
+    }
+
+    fn on_retire(&mut self, inst: &Inst) {
+        self.0.push(Event::Retire(*inst));
+    }
+
+    fn on_data_access(
+        &mut self,
+        line_addr: u64,
+        is_store: bool,
+        serviced: ServicedBy,
+        _hier: &mut CacheHierarchy,
+    ) {
+        self.0.push(Event::Data(line_addr, is_store, serviced));
+    }
+
+    fn on_branch(&mut self, pc: usize, target: usize, taken: bool) {
+        self.0.push(Event::Branch(pc, target, taken));
+    }
+}
+
+/// Records `exe`'s event stream on one engine, plus the run's outcome
+/// (statistics and completion, or the fault).
+fn record(
+    engine: EngineKind,
+    exe: &Executable,
+    decoded: &DecodedProgram,
+    budget: Option<u64>,
+) -> (Vec<Event>, Result<(SimStats, bool), SimError>) {
+    let mut hook = Recorder::default();
+    let out = run_engine(engine, exe, decoded, budget, &mut hook).map(|o| (o.stats, o.completed));
+    (hook.0, out)
+}
+
+/// Both engines raise the same event stream — full run, and a prefix of
+/// `budget_percent` of the full run's retirements — with the same
+/// outcome. Faulting programs compare up to and including the fault.
+fn assert_event_streams_agree(exe: &Executable, budget_percent: u64) {
+    let decoded = exe.decode().expect("decodes");
+    let (full, _) = record(EngineKind::Interp, exe, &decoded, None);
+    let retired = full
+        .iter()
+        .filter(|e| matches!(e, Event::Retire(_)))
+        .count() as u64;
+    let budget = (retired * budget_percent / 100).max(1);
+    for budget in [None, Some(budget)] {
+        let (interp_events, interp_out) = record(EngineKind::Interp, exe, &decoded, budget);
+        let (decoded_events, decoded_out) = record(EngineKind::Decoded, exe, &decoded, budget);
+        assert!(
+            !interp_events.is_empty(),
+            "{}: no events recorded",
+            exe.name
+        );
+        if let Some(at) = interp_events
+            .iter()
+            .zip(&decoded_events)
+            .position(|(a, b)| a != b)
+        {
+            panic!(
+                "{} (budget {budget:?}): event {at} diverged: interp {:?}, decoded {:?}",
+                exe.name, interp_events[at], decoded_events[at]
+            );
+        }
+        assert_eq!(
+            interp_events.len(),
+            decoded_events.len(),
+            "{} (budget {budget:?}): event streams differ in length",
+            exe.name
+        );
+        assert_eq!(interp_out, decoded_out, "{} (budget {budget:?})", exe.name);
+    }
 }
 
 fn assert_outputs_identical(a: &RunOutput, b: &RunOutput) {
@@ -434,17 +516,58 @@ proptest! {
         iters in 2i64..6,
         budget_percent in 5u64..150,
     ) {
-        let target = &TargetIsa::arm_cortex_a72();
-        let prog = build_program(&words, iters);
-        let decoded = DecodedProgram::decode(&prog, target).expect("decodes");
+        let exe = Executable::new(
+            "prop-prefix",
+            build_program(&words, iters),
+            TargetIsa::arm_cortex_a72(),
+        );
+        let decoded = exe.decode().expect("decodes");
+        let run = |engine, budget| {
+            run_engine(engine, &exe, &decoded, budget, &mut NoopHook).expect("run succeeds")
+        };
 
-        let full = run_engine(&InterpEngine::new(&prog), target, None);
+        let full = run(EngineKind::Interp, None);
         let total = full.stats.inst_mix.total();
         let budget = (total * budget_percent / 100).max(1);
 
-        let interp = run_engine(&InterpEngine::new(&prog), target, Some(budget));
-        let fast = run_engine(&DecodedEngine::new(&decoded), target, Some(budget));
+        let interp = run(EngineKind::Interp, Some(budget));
+        let fast = run(EngineKind::Decoded, Some(budget));
         assert_outputs_identical(&interp, &fast);
         prop_assert_eq!(interp.completed, budget_percent >= 100);
+    }
+
+    /// The hook event stream — every `on_fetch`, `on_data_access`,
+    /// `on_branch` and `on_retire` with its arguments, in order — is
+    /// identical on both engines for random flat-loop programs, full
+    /// runs and prefix runs alike.
+    #[test]
+    fn hook_event_streams_match_across_engines(
+        words in prop::collection::vec(0u64..u64::MAX, 4..40),
+        iters in 1i64..8,
+        target_sel in 0usize..3,
+        data_seed in any::<u64>(),
+        budget_percent in 5u64..150,
+    ) {
+        let target = TargetIsa::paper_targets()[target_sel].clone();
+        let exe = Executable::new("prop-events", build_program(&words, iters), target)
+            .with_segment(DATA_BASE, window_words(data_seed));
+        assert_event_streams_agree(&exe, budget_percent);
+    }
+
+    /// The same event-stream contract on mini-torture programs, whose
+    /// nested loops, irregular branches and guarded faults reach the
+    /// control-flow shapes flat loops do not.
+    #[test]
+    fn torture_hook_event_streams_match_across_engines(
+        seed in any::<u64>(),
+        budget_percent in 5u64..150,
+    ) {
+        let exe = DiffHarness::make_executable(
+            "prop-events",
+            &TortureConfig::baseline(),
+            seed,
+            seed ^ 0x5EED_DA7A,
+        );
+        assert_event_streams_agree(&exe, budget_percent);
     }
 }
